@@ -223,7 +223,7 @@ def _write_compare(path: pathlib.Path, points) -> None:
                     pt.order,
                     pt.achieved_order,
                     _g17(pt.error),
-                    1 if pt.error_approximate else 0,
+                    0,  # error_approximate: errors are exact; column kept for format
                     _g17(pt.baseline_error),
                 ]
             )

@@ -30,15 +30,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (
-    EmptyGrid,
-    IllConditionedLyapunov,
-    NonzeroFeedthrough,
-    SingularResolvent,
-)
-from .lti import StateSpace, eval_tf, freq_sweep, is_strictly_stable, series_sub
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+from .errors import IllConditionedLyapunov, NonzeroFeedthrough
+from .lti import StateSpace, eval_tf, series_sub
 
 __all__ = [
     "GramianResult",
@@ -93,8 +86,8 @@ class PeakGain(NamedTuple):
 class ErrorEstimate(NamedTuple):
     """Result of :func:`error_norm`.
 
-    ``approximate`` is True when the value came from the frequency-grid
-    quadrature fallback rather than an exact Gramian computation.
+    ``value`` is exact; ``approximate`` is always False and is kept only
+    so existing readers of the field keep working.
     """
 
     value: float
@@ -347,68 +340,34 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
 # ---------------------------------------------------------------------------
 
 
-def _grid_responses(err: StateSpace, omegas: np.ndarray):
-    """Response samples, skipping isolated near-singular nodes."""
-    try:
-        return [(r.omega, r.value) for r in freq_sweep(err, omegas)]
-    except SingularResolvent:
-        out = []
-        for w in omegas:
-            try:
-                out.append((float(w), eval_tf(err, 1j * float(w))))
-            except SingularResolvent:
-                continue
-        return out
+def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
+    """H2-type norm of the error system g - r, computed exactly.
 
-
-def error_norm(g: StateSpace, r: StateSpace, grid_fallback) -> ErrorEstimate:
-    """H2-type norm of the error system g - r.
-
-    When the error system is strictly stable the value is exact:
-    sqrt(h2_norm_sq(g - r)).  Otherwise (the reduced model picked up
-    unstable or marginal modes) the two-sided frequency integral is
-    approximated by trapezoidal quadrature of ||E(jw)||_F^2 over
-    ``grid_fallback`` and the result is flagged approximate.  Grid nodes
-    that happen to sit numerically on a pole of the error system are
-    skipped.
+    The value is sqrt(h2_norm_sq(g - r)).  Reduced models that picked up
+    antistable modes are measured through the frequency-domain Gramian of
+    :func:`controllability_gramian`, so the value is always the square
+    root of the frequency integral of ||G(jw) - R(jw)||_F^2, scaled as in
+    the module docstring.
 
     Parameters
     ----------
     g, r : StateSpace
         Full and reduced models with matching I/O dimensions and equal
         feedthrough.
-    grid_fallback : array_like of float
-        Nonnegative quadrature nodes for the unstable fallback, ignored on
-        the exact path.  At least two nodes are required when used.
 
     Returns
     -------
     ErrorEstimate
-    """
-    err = series_sub(g, r)
-    if np.any(err.D != 0):
-        raise NonzeroFeedthrough(
-            "error system has nonzero feedthrough; its H2 norm is infinite"
-        )
-    if is_strictly_stable(err):
-        return ErrorEstimate(math.sqrt(h2_norm_sq(err)), False)
+        ``approximate`` is always False.
 
-    omegas = np.unique(np.asarray([float(w) for w in grid_fallback], dtype=float))
-    if omegas.size and omegas[0] < 0:
-        raise ValueError("grid_fallback frequencies must be nonnegative")
-    samples = _grid_responses(err, omegas)
-    if len(samples) < 2:
-        raise EmptyGrid(
-            "quadrature fallback needs at least two usable grid frequencies"
-        )
-    ws = np.array([w for w, _ in samples])
-    f = np.array([np.linalg.norm(v, "fro") ** 2 for _, v in samples])
-    if err.is_real:
-        val = _trapezoid(f, ws) / math.pi
-    else:
-        # Complex systems are not conjugate-symmetric; sample both signs.
-        mirrored = _grid_responses(err, -ws[::-1])
-        wneg = np.array([w for w, _ in mirrored])
-        fneg = np.array([np.linalg.norm(v, "fro") ** 2 for _, v in mirrored])
-        val = (_trapezoid(f, ws) + _trapezoid(fneg, wneg)) / (2.0 * math.pi)
-    return ErrorEstimate(math.sqrt(max(float(val), 0.0)), True)
+    Raises
+    ------
+    NonzeroFeedthrough
+        If the feedthroughs differ (the norm is infinite).
+    InvariantViolation
+        If the error system has an imaginary-axis pole (the norm is
+        infinite).
+    IllConditionedLyapunov
+        If a Gramian solve fails its residual check.
+    """
+    return ErrorEstimate(math.sqrt(h2_norm_sq(series_sub(g, r))), False)

@@ -218,8 +218,8 @@ def is_strictly_stable(sys: StateSpace) -> bool:
 
     This is the margin used throughout the package: poles inside the
     relative band around the imaginary axis are treated as *not* stable,
-    so marginal realizations route to grid-based fallbacks instead of
-    Lyapunov solves.
+    the same band in which :meth:`StateSpace.assert_no_imaginary_poles`
+    rejects a system.
     """
     lam = sys.poles()
     if lam.size == 0:

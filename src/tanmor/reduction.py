@@ -19,20 +19,9 @@ import time
 from collections.abc import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import (
-    IllConditionedLyapunov,
-    IndexOutOfRange,
-    TanmorError,
-    UnstableSystem,
-)
-from .gramians import (
-    LYAPUNOV_RESIDUAL_RTOL,
-    controllability_gramian,
-    error_norm,
-    psd_factor,
-)
+from .errors import IndexOutOfRange, TanmorError, UnstableSystem
+from .gramians import controllability_gramian, error_norm, psd_factor
 from .interpolation import (
     InterpData,
     append_point,
@@ -128,7 +117,9 @@ class ReducerConfig:
 class TraceRow:
     """One iteration of the greedy loop.
 
-    ``error_norm`` is NaN when error tracking is off.  ``model`` and
+    ``error_norm`` is the exact H2 norm of the error system, or NaN when
+    error tracking is off or the norm could not be measured (the error
+    system has an imaginary-axis pole, or a solve failed).  ``model`` and
     ``data`` snapshot the reduced system and the interpolation state as of
     this iteration's end.
     """
@@ -140,7 +131,6 @@ class TraceRow:
     order: int
     gamma: float
     error_norm: float
-    error_approximate: bool
     stable: bool
     seconds: float
     model: StateSpace = dataclasses.field(repr=False)
@@ -171,17 +161,6 @@ class ReductionTrace:
         return best
 
 
-def _default_error_grid(sys: StateSpace) -> np.ndarray:
-    """Log grid bracketing the parent's pole magnitudes, for quadrature."""
-    mags = np.abs(sys.poles())
-    mags = mags[mags > 0.0]
-    if mags.size:
-        lo, hi = 0.01 * float(mags.min()), 100.0 * float(mags.max())
-    else:
-        lo, hi = 1e-2, 1e2
-    return np.geomspace(lo, hi, 400)
-
-
 def _propose(sys, model, cfg: ReducerConfig, rng: SplitMix64 | None) -> float:
     kind = cfg.strategy.kind
     if kind is StrategyKind.MAX_ERROR:
@@ -196,10 +175,11 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
 
     The parent Gramian is computed once up front; each iteration then adds
     one frequency (or grows an existing one), re-solves the weights, and
-    realizes the next model.  Any library error raised mid-iteration
-    (rank exhaustion, a singular resolvent at a proposed frequency, ...)
-    halts the loop and the trace keeps the last completed state, with the
-    cause recorded in ``stop_reason``.
+    realizes the next model.  Any library or LAPACK error raised
+    mid-iteration (rank exhaustion, a singular resolvent at a proposed
+    frequency, a failed factorization, ...) halts the loop and the trace
+    keeps the last completed state, with the cause recorded in
+    ``stop_reason``.
 
     Raises
     ------
@@ -215,7 +195,6 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
     gamma = gamma0
 
     track = cfg.track_error or cfg.error_rel_tol is not None
-    err_grid = _default_error_grid(sys) if track else None
     rng = (
         SplitMix64(cfg.strategy.seed)
         if cfg.strategy.kind is StrategyKind.RANDOM
@@ -254,26 +233,22 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
             else:
                 data = extend_point(data, sys, ref.merged_index, pt)
             sol = solve_weights(sys, gram, data)
-        except TanmorError as exc:
+        except (TanmorError, np.linalg.LinAlgError) as exc:
             reason = f"halted[{type(exc).__name__}]: {exc}"
             break
         weights = sol.w
         gamma = sol.gamma
         model = realize_r(data, weights, sys.D)
         stable = is_strictly_stable(model)
+        err_val = math.nan
         if track:
             try:
-                est = error_norm(sys, model, err_grid)
-            except TanmorError:
-                # The measurement is diagnostic; a model so degenerate the
-                # quadrature cannot even sample it still gets recorded (the
-                # objective keeps driving the stop logic).
-                err_val, approx = math.nan, False
-            else:
-                last_err, approx = est.value, est.approximate
-                err_val = last_err
-        else:
-            err_val, approx = math.nan, False
+                err_val = last_err = error_norm(sys, model).value
+            except (TanmorError, np.linalg.LinAlgError):
+                # The measurement is diagnostic; a model whose error system
+                # has no finite norm (or defeats the solver) still gets
+                # recorded, and the objective keeps driving the stop logic.
+                pass
         rows.append(
             TraceRow(
                 iteration=it,
@@ -283,7 +258,6 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
                 order=data.total_order,
                 gamma=gamma,
                 error_norm=err_val,
-                error_approximate=approx,
                 stable=stable,
                 seconds=time.perf_counter() - t0,
                 model=model,
@@ -299,24 +273,17 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
 # ---------------------------------------------------------------------------
 
 
-def _lyapunov_psd(A: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Solve A X + X A* + F F* = 0 for stable A, with a residual check."""
-    rhs = F @ F.conj().T
-    X = sla.solve_continuous_lyapunov(A, -rhs)
-    X = 0.5 * (X + X.conj().T)
-    defect = np.linalg.norm(A @ X + X @ A.conj().T + rhs, "fro")
-    scale = max(float(np.linalg.norm(rhs, "fro")), np.finfo(float).tiny)
-    if defect > LYAPUNOV_RESIDUAL_RTOL * scale:
-        raise IllConditionedLyapunov(
-            f"Lyapunov residual {defect:.3e} exceeds "
-            f"{LYAPUNOV_RESIDUAL_RTOL:g} * ||FF*||_F"
-        )
-    return X
-
-
 def _balancing_svd(sys: StateSpace):
-    P = _lyapunov_psd(sys.A, sys.B)
-    Q = _lyapunov_psd(sys.A.conj().T, sys.C.conj().T)
+    # The observability Gramian is the controllability Gramian of the dual.
+    dual = StateSpace(
+        sys.A.conj().T,
+        sys.C.conj().T,
+        sys.B.conj().T,
+        sys.D.conj().T,
+        scalar_field=sys.scalar_field,
+    )
+    P = controllability_gramian(sys).theta
+    Q = controllability_gramian(dual).theta
     Lp = psd_factor(P)
     Lq = psd_factor(Q)
     U, s, Vh = np.linalg.svd(Lq.conj().T @ Lp)
@@ -394,7 +361,6 @@ class SweepPoint:
     order: int
     achieved_order: int
     error: float
-    error_approximate: bool
     baseline_error: float
 
 
@@ -429,19 +395,18 @@ def sweep_orders(
 
     run_cfg = dataclasses.replace(cfg, max_order=max(max(orders), 1), track_error=True)
     trace = reduce(sys, run_cfg)
-    grid = _default_error_grid(sys)
 
     out: list[SweepPoint] = []
     for k in orders:
         row = trace.row_at_order(k)
         if row is None:
-            achieved, err, approx = 0, math.sqrt(trace.gamma0), False
+            achieved, err = 0, math.sqrt(trace.gamma0)
         else:
-            achieved, err, approx = row.order, row.error_norm, row.error_approximate
+            achieved, err = row.order, row.error_norm
         if baseline == "balanced":
             bt = balanced_truncation(sys, min(k, sys.n))
-            bt_err = error_norm(sys, bt, grid).value
+            bt_err = error_norm(sys, bt).value
         else:
             bt_err = math.nan
-        out.append(SweepPoint(k, achieved, err, approx, bt_err))
+        out.append(SweepPoint(k, achieved, err, bt_err))
     return out

@@ -384,13 +384,12 @@ def test_08_real_parents_keep_real_storage(capsys):
 def test_09_benchmark_tracks_balanced_truncation(capsys, bench_sys, bench_trace):
     """On the 270-state flexible-structure benchmark the greedy errors stay
     within a factor of 10 of balanced truncation and decrease with order."""
-    fallback = np.geomspace(1e-2, 1e3, 4000)
     ratios = []
     errs = []
     for order in BENCH_ORDERS:
         row = bench_trace.row_at_order(order)
         assert row is not None and row.order == order
-        bt_err = error_norm(bench_sys, balanced_truncation(bench_sys, order), fallback)
+        bt_err = error_norm(bench_sys, balanced_truncation(bench_sys, order))
         assert not bt_err.approximate
         ratios.append(row.error_norm / bt_err.value)
         errs.append(row.error_norm)
@@ -410,7 +409,6 @@ def test_09_benchmark_tracks_balanced_truncation(capsys, bench_sys, bench_trace)
 def test_10_strategy_agreement_bands(capsys, bench_sys, bench_trace):
     """Grid and random selection land near the adaptive strategy's error."""
     ref = bench_trace.row_at_order(24).error_norm
-    fallback = np.geomspace(1e-2, 1e3, 4000)
 
     def run(strategy):
         cfg = ReducerConfig(
@@ -422,7 +420,7 @@ def test_10_strategy_agreement_bands(capsys, bench_sys, bench_trace):
             track_error=False,
         )
         trace = reduce(bench_sys, cfg)
-        return error_norm(bench_sys, trace.model, fallback).value
+        return error_norm(bench_sys, trace.model).value
 
     disc = run(SelectionStrategy.discrete(omega_min=1e-1, omega_max=1e2, K=200))
     assert disc <= 2.0 * ref, f"discrete {disc:.3e} vs adaptive {ref:.3e}"

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanmor import (
-    EmptyGrid,
     InvariantViolation,
     NonzeroFeedthrough,
     StateSpace,
@@ -173,34 +174,55 @@ class TestErrorNorm:
     def test_exact_path(self):
         g = random_stable(8, 2, 2, seed=10)
         r = random_stable(3, 2, 2, seed=11)
-        est = error_norm(g, r, [])
+        est = error_norm(g, r)
         assert not est.approximate
         want = math.sqrt(h2_sq_quadrature(series_sub(g, r)))
         npt.assert_allclose(est.value, want, rtol=1e-6)
 
-    def test_quadrature_fallback(self):
+    def test_unstable_reduced_model_is_exact(self):
         g = random_stable(6, 2, 2, seed=12)
         r = random_mixed(2, 2, 2, 2, seed=13)  # reduced model went unstable
-        grid = np.geomspace(1e-3, 1e3, 3000)
-        est = error_norm(g, r, grid)
-        assert est.approximate
+        est = error_norm(g, r)
+        assert not est.approximate
         want = math.sqrt(h2_sq_quadrature(series_sub(g, r)))
-        npt.assert_allclose(est.value, want, rtol=2e-2)
+        npt.assert_allclose(est.value, want, rtol=1e-6)
 
     def test_feedthrough_mismatch(self):
         g = random_stable(3, 1, 1, seed=14, feedthrough=True)
         r = random_stable(2, 1, 1, seed=15)
         with pytest.raises(NonzeroFeedthrough):
-            error_norm(g, r, [])
+            error_norm(g, r)
 
-    def test_tiny_fallback_grid(self):
+    def test_imaginary_axis_pole_rejected(self):
+        # An undamped mode in r gives the error system an infinite norm.
         g = random_stable(3, 1, 1, seed=16)
-        r = random_mixed(1, 1, 1, 1, seed=17)
-        with pytest.raises(EmptyGrid):
-            error_norm(g, r, [1.0])
+        r = StateSpace([[0.0, 2.0], [-2.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]])
+        with pytest.raises(InvariantViolation):
+            error_norm(g, r)
 
     def test_matched_feedthrough_cancels(self):
         g = random_stable(5, 2, 2, seed=18, feedthrough=True)
         r = StateSpace(g.A, g.B, g.C, g.D)
-        est = error_norm(g, r, [])
+        est = error_norm(g, r)
         assert est.value <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex"]),
+        n=st.integers(1, 6),
+        n_anti=st.integers(0, 2),
+        n_r_stable=st.integers(1, 3),
+        p=st.integers(1, 2),
+        q=st.integers(1, 2),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_quadrature(self, field, n, n_anti, n_r_stable, p, q, seed):
+        # Stable (n_anti = 0) or mixed-stability reduced models alike.
+        g = random_stable(n, p, q, seed, field=field)
+        if n_anti:
+            r = random_mixed(n_r_stable, n_anti, p, q, seed + 2, field=field)
+        else:
+            r = random_stable(n_r_stable, p, q, seed + 2, field=field)
+        est = error_norm(g, r)
+        want = h2_sq_quadrature(series_sub(g, r))
+        npt.assert_allclose(est.value**2, want, rtol=1e-6)

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import tanmor.reduction
 from tanmor import (
     IndexOutOfRange,
     InvariantViolation,
@@ -20,6 +21,7 @@ from tanmor import (
     hankel_values,
     reduce,
     series_sub,
+    solve_weights,
     sweep_orders,
 )
 
@@ -138,6 +140,35 @@ class TestReduce:
         trace = reduce(sys, cfg)
         assert trace.stop_reason.startswith("halted[RankExhausted]")
         assert trace.rows  # the completed iterations survive
+
+    @pytest.mark.parametrize("failing_call", [2, 3])
+    def test_lapack_failure_halts_with_trace(self, monkeypatch, failing_call):
+        # Call 1 is the baseline solve before the loop; call k >= 2 runs in
+        # iteration k - 1, so the rows of the iterations before it survive.
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return solve_weights(*args, **kwargs)
+
+        monkeypatch.setattr(tanmor.reduction, "solve_weights", flaky)
+        sys = random_stable(6, 2, 2, seed=26)
+        trace = reduce(sys, max_error_cfg(6, max_iters=4))
+        assert trace.stop_reason == "halted[LinAlgError]: SVD did not converge"
+        assert len(trace.rows) == failing_call - 2
+        assert trace.model.n == (trace.rows[-1].order if trace.rows else 0)
+
+    def test_lapack_failure_in_error_norm_records_nan(self, monkeypatch):
+        def failing(g, r):
+            raise np.linalg.LinAlgError("Schur form not found")
+
+        monkeypatch.setattr(tanmor.reduction, "error_norm", failing)
+        sys = random_stable(6, 2, 2, seed=26)
+        trace = reduce(sys, max_error_cfg(4, max_iters=2))
+        assert len(trace.rows) == 2
+        assert all(math.isnan(row.error_norm) for row in trace.rows)
 
     def test_track_error_off_records_nan(self):
         sys = random_stable(6, 2, 2, seed=26)
