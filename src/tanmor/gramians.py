@@ -51,6 +51,10 @@ LYAPUNOV_RESIDUAL_RTOL = 1e-8
 #: |Re| <= this * (1 + |eig|).
 _HAM_IMAG_RTOL = 1e-8
 
+#: error_norm rejects a squared norm whose rounding-error estimate exceeds
+#: this times max(value, ||g||^2).
+_ERROR_NOISE_RTOL = 1e-6
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class GramianResult:
@@ -343,11 +347,20 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
 def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     """H2-type norm of the error system g - r, computed exactly.
 
-    The value is sqrt(h2_norm_sq(g - r)).  Reduced models that picked up
-    antistable modes are measured through the frequency-domain Gramian of
-    :func:`controllability_gramian`, so the value is always the square
-    root of the frequency integral of ||G(jw) - R(jw)||_F^2, scaled as in
-    the module docstring.
+    The value is the square root of trace(C Theta C*) for the error
+    system, with Theta from :func:`controllability_gramian`; reduced models
+    that picked up antistable modes are measured through its
+    stable/antistable split.  It is the square root of the frequency
+    integral of ||G(jw) - R(jw)||_F^2, scaled as in the module docstring.
+
+    Theta is positive semidefinite in exact arithmetic, so the part of the
+    trace carried by its negative eigenvalues is rounding error, and the
+    positive part carries error of the same size.  A badly scaled
+    realization of r (huge output map, nearly dependent modes) can make
+    that error swamp the value, even with every solve passing its residual
+    check.  Such a value is rejected rather than returned: the call raises
+    when the magnitude of the negative part exceeds 1e-6 times the larger
+    of the squared error and ||g||^2 (read off the parent block of Theta).
 
     Parameters
     ----------
@@ -368,6 +381,28 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
         If the error system has an imaginary-axis pole (the norm is
         infinite).
     IllConditionedLyapunov
-        If a Gramian solve fails its residual check.
+        If a Gramian solve fails its residual check, or rounding error
+        swamps the value.
     """
-    return ErrorEstimate(math.sqrt(h2_norm_sq(series_sub(g, r))), False)
+    err = series_sub(g, r)
+    if np.any(err.D != 0):
+        raise NonzeroFeedthrough(
+            "the H2 error is infinite when the feedthroughs of g and r differ"
+        )
+    if err.n == 0:
+        return ErrorEstimate(0.0, False)
+    theta = controllability_gramian(err).theta
+    C = err.C
+    value = float(np.real(np.trace(C @ theta @ C.conj().T)))
+    lam, V = np.linalg.eigh(theta)
+    neg = lam < 0
+    noise = -float(lam[neg] @ np.sum(np.abs(C @ V[:, neg]) ** 2, axis=0))
+    n = g.n
+    parent = float(np.real(np.trace(g.C @ theta[:n, :n] @ g.C.conj().T)))
+    if noise > _ERROR_NOISE_RTOL * max(value, parent):
+        raise IllConditionedLyapunov(
+            f"squared H2 error {value:.6g} carries rounding error of about "
+            f"{noise:.3e}, above {_ERROR_NOISE_RTOL:g} * max(value, ||g||^2 = "
+            f"{parent:.6g})"
+        )
+    return ErrorEstimate(math.sqrt(max(value, 0.0)), False)

@@ -119,7 +119,8 @@ class TraceRow:
 
     ``error_norm`` is the exact H2 norm of the error system, or NaN when
     error tracking is off or the norm could not be measured (the error
-    system has an imaginary-axis pole, or a solve failed).  ``model`` and
+    system has an imaginary-axis pole, a solve failed, or rounding error
+    swamped the value).  ``model`` and
     ``data`` snapshot the reduced system and the interpolation state as of
     this iteration's end.
     """

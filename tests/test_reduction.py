@@ -8,6 +8,7 @@ import pytest
 
 import tanmor.reduction
 from tanmor import (
+    IllConditionedLyapunov,
     IndexOutOfRange,
     InvariantViolation,
     ReducerConfig,
@@ -25,7 +26,7 @@ from tanmor import (
     sweep_orders,
 )
 
-from helpers import h2_sq_quadrature, modal_stable, random_stable
+from helpers import h2_sq_quadrature, modal_stable, random_mixed, random_stable
 
 
 def max_error_cfg(max_order, **kw):
@@ -169,6 +170,25 @@ class TestReduce:
         trace = reduce(sys, max_error_cfg(4, max_iters=2))
         assert len(trace.rows) == 2
         assert all(math.isnan(row.error_norm) for row in trace.rows)
+
+    def test_rounding_swamped_error_records_nan(self):
+        # From order 8 on, the greedy models of this mixed-stability parent
+        # have output maps of norm 1e6 up to 4e9, and the error trace
+        # computed from their Gramians, which pass the residual checks, is
+        # rounding noise: at order 13 it reads -5e5 or +5e6 depending on the
+        # BLAS thread count, against ||g||^2 = 730.  A negative trace
+        # clipped to zero would pass as an exact hit and stop the loop as
+        # converged-error.
+        g = random_mixed(100, 40, 3, 3, seed=7, field="complex")
+        strategy = SelectionStrategy.random(omega_min=1e-2, omega_max=1e2, K=100, seed=1)
+        cfg = ReducerConfig(strategy, max_order=13, rho=0.999, error_rel_tol=1e-3)
+        trace = reduce(g, cfg)
+        assert trace.stop_reason == "max-order"
+        assert trace.model.n == 13
+        assert math.isnan(trace.rows[-1].error_norm)
+        assert all(not row.error_norm < 1e-3 * math.sqrt(trace.gamma0) for row in trace.rows)
+        with pytest.raises(IllConditionedLyapunov):
+            error_norm(g, trace.model)
 
     def test_track_error_off_records_nan(self):
         sys = random_stable(6, 2, 2, seed=26)
