@@ -17,6 +17,7 @@ from .errors import (
     IoError,
     NonzeroFeedthrough,
     ParseError,
+    PeakSearchNotConverged,
     RankDeficient,
     RankExhausted,
     SingularResolvent,
@@ -91,6 +92,7 @@ __all__ = [
     "IoError",
     "NonzeroFeedthrough",
     "ParseError",
+    "PeakSearchNotConverged",
     "RankDeficient",
     "RankExhausted",
     "SingularResolvent",

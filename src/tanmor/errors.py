@@ -13,6 +13,7 @@ __all__ = [
     "SingularResolvent",
     "IllConditionedLyapunov",
     "NonzeroFeedthrough",
+    "PeakSearchNotConverged",
     "RankDeficient",
     "DuplicateFrequency",
     "IndexOutOfRange",
@@ -49,6 +50,14 @@ class IllConditionedLyapunov(TanmorError):
 
 class NonzeroFeedthrough(TanmorError):
     """The squared H2 norm is infinite because the feedthrough D is nonzero."""
+
+
+class PeakSearchNotConverged(TanmorError):
+    """The peak-gain search ran out of Hamiltonian rounds without a certificate.
+
+    The cap is ``tanmor.gramians.PEAK_SEARCH_MAX_ROUNDS``; the search
+    usually certifies its gain in two rounds.
+    """
 
 
 class RankDeficient(TanmorError):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import IllConditionedLyapunov, NonzeroFeedthrough
+from .errors import IllConditionedLyapunov, NonzeroFeedthrough, PeakSearchNotConverged
 from .lti import StateSpace, eval_tf, series_sub
 
 __all__ = [
@@ -51,9 +51,14 @@ LYAPUNOV_RESIDUAL_RTOL = 1e-8
 #: |Re| <= this * (1 + |eig|).
 _HAM_IMAG_RTOL = 1e-8
 
-#: error_norm rejects a squared norm whose rounding-error estimate exceeds
-#: this times max(value, ||g||^2).
-_ERROR_NOISE_RTOL = 1e-6
+#: A squared H2 norm is rejected when its rounding-error estimate exceeds
+#: this times the larger of the value and the summed squared norms of the
+#: decoupled diagonal blocks of A (see :func:`h2_norm_sq`).
+_H2_NOISE_RTOL = 1e-6
+
+#: The peak-gain search raises PeakSearchNotConverged after this many
+#: Hamiltonian rounds without a certificate; it usually needs two.
+PEAK_SEARCH_MAX_ROUNDS = 100
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -211,6 +216,19 @@ def _separated_gramian(sys: StateSpace):
 def h2_norm_sq(sys: StateSpace, strict_proper: bool = False) -> float:
     """Squared H2 norm trace(C Theta C*) of a strictly proper system.
 
+    Theta comes from :func:`controllability_gramian`.  It is positive
+    semidefinite in exact arithmetic, so the part of the trace carried by
+    its negative eigenvalues is rounding error, and the positive part
+    carries error of the same size.  A badly scaled realization (huge
+    output map, nearly dependent modes) can make that error swamp the
+    value, even with every solve passing its residual check.  Such a value
+    is rejected rather than returned: the call raises when the magnitude of
+    the negative part exceeds 1e-6 times the larger of the value and the
+    summed squared norms of the decoupled diagonal blocks of A.  For an
+    error system ``series_sub(g, r)`` those are the blocks of g and of r,
+    so a model that matches g to rounding level measures as zero instead
+    of being rejected.
+
     Parameters
     ----------
     sys : StateSpace
@@ -223,6 +241,11 @@ def h2_norm_sq(sys: StateSpace, strict_proper: bool = False) -> float:
     ------
     NonzeroFeedthrough
         If D != 0 and ``strict_proper`` is False (the norm is infinite).
+    InvariantViolation
+        If A has an imaginary-axis pole (the norm is infinite).
+    IllConditionedLyapunov
+        If a Gramian solve fails its residual check, or rounding error
+        swamps the value.
     """
     if np.any(sys.D != 0) and not strict_proper:
         raise NonzeroFeedthrough(
@@ -231,9 +254,37 @@ def h2_norm_sq(sys: StateSpace, strict_proper: bool = False) -> float:
         )
     if sys.n == 0:
         return 0.0
-    gram = controllability_gramian(sys)
-    val = float(np.real(np.trace(sys.C @ gram.theta @ sys.C.conj().T)))
-    return max(val, 0.0)
+    return max(_checked_trace(sys, controllability_gramian(sys).theta), 0.0)
+
+
+def _checked_trace(sys: StateSpace, theta: np.ndarray) -> float:
+    """trace(C Theta C*), raising when its rounding error swamps it."""
+    C = sys.C
+    value = float(np.real(np.trace(C @ theta @ C.conj().T)))
+    lam, V = np.linalg.eigh(theta)
+    neg = lam < 0
+    noise = -float(lam[neg] @ np.sum(np.abs(C @ V[:, neg]) ** 2, axis=0))
+    # Diagonal blocks of A with no coupling entries are subsystems in
+    # parallel.  The trace is the sum of their squared norms plus cross
+    # terms, and the cross terms cancel them when the subsystems nearly
+    # cancel (g - r with r close to g); rounding error is relative to the
+    # blocks, not to the sum.  A block ends at state i when no state up to
+    # i is coupled to a state after i.
+    idx = np.arange(sys.n)
+    linked = (sys.A != 0) | (sys.A != 0).T
+    ends = np.maximum.accumulate(np.where(linked, idx, idx[:, None]).max(axis=1))
+    labels = np.concatenate([[0], np.cumsum(ends[:-1] == idx[:-1])])
+    same = labels[:, None] == labels[None, :]
+    terms = np.real(theta * (C.conj().T @ C).T)
+    rows = np.broadcast_to(labels[:, None], same.shape)
+    blocks = float(np.abs(np.bincount(rows[same], weights=terms[same])).sum())
+    if noise > _H2_NOISE_RTOL * max(value, blocks):
+        raise IllConditionedLyapunov(
+            f"squared H2 norm {value:.6g} carries rounding error of about "
+            f"{noise:.3e}, above {_H2_NOISE_RTOL:g} * max(value, summed "
+            f"block norms {blocks:.6g})"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +292,24 @@ def h2_norm_sq(sys: StateSpace, strict_proper: bool = False) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sigma_max(sys: StateSpace, w: float) -> float:
-    val = eval_tf(sys, 1j * w)
-    if val.size == 0:
-        return 0.0
-    return float(np.linalg.svd(val, compute_uv=False)[0])
+def _sigma_max_batch(values) -> np.ndarray:
+    """Largest singular value of each of a list of equal-shape responses."""
+    stack = np.array(values)
+    if stack.size == 0:
+        return np.zeros(len(values))
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+def _pole_candidates(poles: np.ndarray, real_field: bool) -> set:
+    """Starting frequencies of the peak search, derived from the poles."""
+    candidates = {0.0}
+    for ev in poles:
+        candidates.add(abs(ev.imag))
+        candidates.add(abs(ev))
+        if not real_field:
+            candidates.add(ev.imag)
+            candidates.add(-abs(ev))
+    return candidates
 
 
 def _imag_eig_frequencies(ham_eigs: np.ndarray, real_field: bool) -> np.ndarray:
@@ -257,6 +321,66 @@ def _imag_eig_frequencies(ham_eigs: np.ndarray, real_field: bool) -> np.ndarray:
     return np.unique(on_axis.imag)
 
 
+def _peak_search(sys: StateSpace, candidates, sigma_max, rtol: float) -> PeakGain:
+    """Bruinsma-Steinbuch search for the peak of the response of ``sys``.
+
+    ``sigma_max`` maps a list of frequencies to the largest singular values
+    of the response of ``sys`` there; ``sys`` itself supplies only the
+    feedthrough and the Hamiltonian matrices.  Candidates are scanned in
+    ascending order, then the midpoints of each round, and a frequency
+    replaces the best one only when its value is strictly larger.
+    """
+    if not 0.0 < rtol < 0.5:
+        raise ValueError(f"rtol must lie in (0, 0.5), got {rtol}")
+    p, q = sys.p, sys.q
+    sd = np.linalg.svd(sys.D, compute_uv=False) if sys.D.size else np.zeros(0)
+    sigma_d = float(sd[0]) if sd.size else 0.0
+    if sys.n == 0:
+        return PeakGain(math.inf, sigma_d)
+
+    best_gain, best_w = sigma_d, math.inf
+    omegas = sorted(candidates)
+    for w, s in zip(omegas, sigma_max(omegas)):
+        if s > best_gain:
+            best_gain, best_w = float(s), float(w)
+
+    if best_gain <= 0.0:
+        return PeakGain(0.0, 0.0)
+
+    eps = rtol / 2.0
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    for _ in range(PEAK_SEARCH_MAX_ROUNDS):
+        gamma = best_gain * (1.0 + 2.0 * eps)
+        R = gamma * gamma * np.eye(q) - D.conj().T @ D
+        Rinv = np.linalg.inv(R)
+        Acl = A + B @ Rinv @ D.conj().T @ C
+        ham = np.block(
+            [
+                [Acl, B @ Rinv @ B.conj().T],
+                [-C.conj().T @ (np.eye(p) + D @ Rinv @ D.conj().T) @ C, -Acl.conj().T],
+            ]
+        )
+        freqs = _imag_eig_frequencies(np.linalg.eigvals(ham), sys.is_real)
+        if freqs.size == 0:
+            break
+        mids = list(freqs if freqs.size == 1 else 0.5 * (freqs[1:] + freqs[:-1]))
+        improved = False
+        for w, s in zip(mids, sigma_max(mids)):
+            if s > best_gain:
+                best_gain, best_w, improved = float(s), float(w), True
+        if not improved:
+            break
+    else:
+        raise PeakSearchNotConverged(
+            f"peak search not certified after {PEAK_SEARCH_MAX_ROUNDS} Hamiltonian "
+            f"rounds (best gain {best_gain:.6g} at omega={best_w:.6g})"
+        )
+
+    if math.isinf(best_w):
+        return PeakGain(math.inf, sigma_d)
+    return PeakGain(best_w, best_gain)
+
+
 def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
     """Locate the largest singular value of G(jw) over all frequencies.
 
@@ -266,7 +390,10 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
     candidates derived from the poles, each round evaluates midpoints of
     the imaginary-eigenvalue frequencies of an infeasible gamma, which
     converges quadratically (Bruinsma and Steinbuch, 1990).  Stability of
-    A is not required, only the absence of imaginary-axis poles.
+    A is not required, only the absence of imaginary-axis poles.  Each
+    response is a dense solve against ``sys``; nothing is cached between
+    calls.  :func:`tanmor.select_max_error` runs the same search on an
+    error system g - r, with the responses of g cached per parent.
 
     Parameters
     ----------
@@ -282,61 +409,19 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
         supremum is approached only as w -> inf, the sentinel
         ``PeakGain(math.inf, sigma_max(D))`` is returned instead of an
         error.
+
+    Raises
+    ------
+    PeakSearchNotConverged
+        If no round certifies the gain within ``PEAK_SEARCH_MAX_ROUNDS``
+        Hamiltonian rounds.
     """
-    if not 0.0 < rtol < 0.5:
-        raise ValueError(f"rtol must lie in (0, 0.5), got {rtol}")
-    p, q = sys.p, sys.q
-    sd = np.linalg.svd(sys.D, compute_uv=False) if sys.D.size else np.zeros(0)
-    sigma_d = float(sd[0]) if sd.size else 0.0
-    if sys.n == 0:
-        return PeakGain(math.inf, sigma_d)
-
-    lam = sys.poles()
-    candidates = {0.0}
-    for ev in lam:
-        candidates.add(abs(ev.imag))
-        candidates.add(abs(ev))
-        if not sys.is_real:
-            candidates.add(ev.imag)
-            candidates.add(-abs(ev))
-
-    best_gain, best_w = sigma_d, math.inf
-    for w in sorted(candidates):
-        s = _sigma_max(sys, w)
-        if s > best_gain:
-            best_gain, best_w = s, w
-
-    if best_gain <= 0.0:
-        return PeakGain(0.0, 0.0)
-
-    eps = rtol / 2.0
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    for _ in range(100):
-        gamma = best_gain * (1.0 + 2.0 * eps)
-        R = gamma * gamma * np.eye(q) - D.conj().T @ D
-        Rinv = np.linalg.inv(R)
-        Acl = A + B @ Rinv @ D.conj().T @ C
-        ham = np.block(
-            [
-                [Acl, B @ Rinv @ B.conj().T],
-                [-C.conj().T @ (np.eye(p) + D @ Rinv @ D.conj().T) @ C, -Acl.conj().T],
-            ]
-        )
-        freqs = _imag_eig_frequencies(np.linalg.eigvals(ham), sys.is_real)
-        if freqs.size == 0:
-            break
-        mids = freqs if freqs.size == 1 else 0.5 * (freqs[1:] + freqs[:-1])
-        improved = False
-        for w in mids:
-            s = _sigma_max(sys, float(w))
-            if s > best_gain:
-                best_gain, best_w, improved = s, float(w), True
-        if not improved:
-            break
-
-    if math.isinf(best_w):
-        return PeakGain(math.inf, sigma_d)
-    return PeakGain(best_w, best_gain)
+    return _peak_search(
+        sys,
+        _pole_candidates(sys.poles(), sys.is_real),
+        lambda omegas: _sigma_max_batch([eval_tf(sys, 1j * w) for w in omegas]),
+        rtol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +432,16 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
 def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     """H2-type norm of the error system g - r, computed exactly.
 
-    The value is the square root of trace(C Theta C*) for the error
-    system, with Theta from :func:`controllability_gramian`; reduced models
-    that picked up antistable modes are measured through its
-    stable/antistable split.  It is the square root of the frequency
-    integral of ||G(jw) - R(jw)||_F^2, scaled as in the module docstring.
-
-    Theta is positive semidefinite in exact arithmetic, so the part of the
-    trace carried by its negative eigenvalues is rounding error, and the
-    positive part carries error of the same size.  A badly scaled
-    realization of r (huge output map, nearly dependent modes) can make
-    that error swamp the value, even with every solve passing its residual
-    check.  Such a value is rejected rather than returned: the call raises
-    when the magnitude of the negative part exceeds 1e-6 times the larger
-    of the squared error and ||g||^2 (read off the parent block of Theta).
+    The value is ``sqrt(h2_norm_sq(series_sub(g, r)))``: the square root
+    of trace(C Theta C*) for the error system, with Theta from
+    :func:`controllability_gramian`; reduced models that picked up
+    antistable modes are measured through its stable/antistable split.  It
+    is the square root of the frequency integral of ||G(jw) - R(jw)||_F^2,
+    scaled as in the module docstring.  A value swamped by rounding error
+    (a badly scaled realization of r) raises, as described in
+    :func:`h2_norm_sq`; the decoupled diagonal blocks of the error system
+    are those of g and of r, so the rounding error is judged against their
+    squared norms rather than against the (possibly tiny) error.
 
     Parameters
     ----------
@@ -389,20 +470,4 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
         raise NonzeroFeedthrough(
             "the H2 error is infinite when the feedthroughs of g and r differ"
         )
-    if err.n == 0:
-        return ErrorEstimate(0.0, False)
-    theta = controllability_gramian(err).theta
-    C = err.C
-    value = float(np.real(np.trace(C @ theta @ C.conj().T)))
-    lam, V = np.linalg.eigh(theta)
-    neg = lam < 0
-    noise = -float(lam[neg] @ np.sum(np.abs(C @ V[:, neg]) ** 2, axis=0))
-    n = g.n
-    parent = float(np.real(np.trace(g.C @ theta[:n, :n] @ g.C.conj().T)))
-    if noise > _ERROR_NOISE_RTOL * max(value, parent):
-        raise IllConditionedLyapunov(
-            f"squared H2 error {value:.6g} carries rounding error of about "
-            f"{noise:.3e}, above {_ERROR_NOISE_RTOL:g} * max(value, ||g||^2 = "
-            f"{parent:.6g})"
-        )
-    return ErrorEstimate(math.sqrt(max(value, 0.0)), False)
+    return ErrorEstimate(math.sqrt(h2_norm_sq(err)), False)

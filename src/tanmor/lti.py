@@ -332,10 +332,11 @@ class _HessenbergCache:
     def _banded_solve(self, ab_neg: np.ndarray, s: complex, rhs: np.ndarray) -> np.ndarray:
         n = self.n
         kl, ku = 1, n - 1
-        ab = ab_neg.astype(np.complex128, copy=True)
+        # Fortran order lets gbtrf factor this private copy in place.
+        ab = np.array(ab_neg, dtype=np.complex128, order="F")
         ab[kl + ku, :] += s
         gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        lu, piv, info = gbtrf(ab, kl, ku)
+        lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
         if info != 0:
             raise SingularResolvent(f"sI - A exactly singular at s={s}")
         diag = np.abs(lu[kl + ku, :])

@@ -178,7 +178,8 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
     one frequency (or grows an existing one), re-solves the weights, and
     realizes the next model.  Any library or LAPACK error raised
     mid-iteration (rank exhaustion, a singular resolvent at a proposed
-    frequency, a failed factorization, ...) halts the loop and the trace
+    frequency, a peak search that does not converge, a failed
+    factorization, ...) halts the loop and the trace
     keeps the last completed state, with the cause recorded in
     ``stop_reason``.
 

@@ -20,12 +20,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import weakref
 from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import EmptyGrid, RankExhausted
-from .gramians import peak_gain
+from .gramians import _peak_search, _pole_candidates, _sigma_max_batch
 from .interpolation import InterpPoint, RANK_FLOOR_RTOL
 from .lti import StateSpace, eval_tf, freq_sweep, series_sub
 
@@ -171,20 +172,65 @@ def _pointwise_error(g: StateSpace, r: StateSpace, omegas) -> np.ndarray:
     )
 
 
+class _ParentResponses:
+    """Poles of a parent and its responses, memoized by frequency.
+
+    Holds no reference to the parent itself, so the weak-keyed cache below
+    lets a parent (and its Hessenberg factors) go once callers drop it.
+    """
+
+    def __init__(self, g: StateSpace):
+        self.poles = g.poles()
+        self.values: dict[float, np.ndarray] = {}
+
+    def at(self, g: StateSpace, omegas) -> list[np.ndarray]:
+        """G(j*w) for each w, evaluating only frequencies not seen before."""
+        for resp in freq_sweep(g, [w for w in omegas if w not in self.values]):
+            self.values[resp.omega] = resp.value
+        return [self.values[w] for w in omegas]
+
+
+_PARENT_RESPONSES: "weakref.WeakKeyDictionary[StateSpace, _ParentResponses]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
     """Frequency where the spectral norm of the error G - R peaks.
 
-    Runs the Hamiltonian peak-gain solver on the stacked error system.  A
-    plateau-at-infinity result is mapped to 10 times the largest pole
+    Runs the Bruinsma-Steinbuch search of :func:`tanmor.peak_gain` on the
+    error G - R, with every candidate evaluated as sigma_max(G(jw) - R(jw)).
+    The poles of g and a memo w -> G(jw) (filled by :func:`freq_sweep`) are
+    kept once per parent, in a cache that does not keep g alive, so each
+    call evaluates R at every candidate but G only at frequencies not seen
+    before: the candidates from the poles of r and the Hamiltonian
+    midpoints.  The Hamiltonian test on the stacked error system
+    ``series_sub(g, r)`` still certifies the result, as in
+    :func:`tanmor.peak_gain`.
+
+    A plateau-at-infinity result is mapped to 10 times the largest pole
     magnitude of the error system (there is no finite argmax to return);
     for real systems a negative locator is folded to its absolute value,
     since real data is interpolated at +/- jw jointly anyway.
+
+    Raises
+    ------
+    PeakSearchNotConverged
+        If the search runs out of Hamiltonian rounds.
     """
+    parent = _PARENT_RESPONSES.get(g)
+    if parent is None:
+        parent = _PARENT_RESPONSES[g] = _ParentResponses(g)
     err = series_sub(g, r)
-    pg = peak_gain(err, rtol)
+    poles = np.concatenate([parent.poles, r.poles()])
+
+    def sigma_max(omegas):
+        gs = parent.at(g, omegas)
+        return _sigma_max_batch([a - eval_tf(r, 1j * w) for a, w in zip(gs, omegas)])
+
+    pg = _peak_search(err, _pole_candidates(poles, err.is_real), sigma_max, rtol)
     w = pg.omega_star
     if math.isinf(w):
-        poles = err.poles()
         w = 10.0 * float(np.max(np.abs(poles))) if poles.size else 1.0
     if g.is_real and r.is_real:
         w = abs(w)

@@ -7,12 +7,13 @@ fast paths against implementations too simple to share their bugs.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 import scipy.integrate
 
-from tanmor import StateSpace
+from tanmor import StateSpace, peak_gain, series_sub
 
 # ---------------------------------------------------------------------------
 # system builders
@@ -144,3 +145,41 @@ def grid_peak(sys, num=20000):
         if s > best:
             best_w, best = float(w), s
     return best_w, best
+
+
+def stacked_max_error(g, r, rtol=1e-6):
+    """Max-error selection run on the stacked error system g - r.
+
+    The library's selector before it cached the parent's responses: every
+    candidate is a dense solve against the (n + r)-state error system.
+    Same mapping of the plateau at infinity and the same folding for real
+    systems.
+    """
+    err = series_sub(g, r)
+    w = peak_gain(err, rtol).omega_star
+    if math.isinf(w):
+        poles = err.poles()
+        w = 10.0 * float(np.max(np.abs(poles))) if poles.size else 1.0
+    if g.is_real and r.is_real:
+        w = abs(w)
+    return float(w)
+
+
+def level_crossings(sys, gamma, tol=1e-8):
+    """Frequencies where some singular value of G(jw) crosses ``gamma``.
+
+    They are the imaginary-axis eigenvalues of the Hamiltonian matrix of
+    ``sys`` at level ``gamma``, built naively; real systems report |w|.
+    """
+    A, B, C, D = (M.astype(complex) for M in (sys.A, sys.B, sys.C, sys.D))
+    R = np.linalg.inv(gamma**2 * np.eye(sys.q) - D.conj().T @ D)
+    S = np.linalg.inv(gamma**2 * np.eye(sys.p) - D @ D.conj().T)
+    ham = np.block(
+        [
+            [A + B @ R @ D.conj().T @ C, B @ R @ B.conj().T],
+            [-gamma**2 * C.conj().T @ S @ C, -(A + B @ R @ D.conj().T @ C).conj().T],
+        ]
+    )
+    eigs = np.linalg.eigvals(ham)
+    imag = eigs[np.abs(eigs.real) <= tol * (1.0 + np.abs(eigs))].imag
+    return np.unique(np.abs(imag) if sys.is_real else imag)

@@ -1,16 +1,20 @@
 """The greedy loop end to end, plus the balanced-truncation baseline."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import tanmor.gramians
 import tanmor.reduction
 from tanmor import (
     IllConditionedLyapunov,
     IndexOutOfRange,
     InvariantViolation,
+    PeakSearchNotConverged,
     ReducerConfig,
     SelectionStrategy,
     StateSpace,
@@ -21,12 +25,19 @@ from tanmor import (
     h2_norm_sq,
     hankel_values,
     reduce,
+    select_max_error,
     series_sub,
     solve_weights,
     sweep_orders,
 )
 
-from helpers import h2_sq_quadrature, modal_stable, random_mixed, random_stable
+from helpers import (
+    h2_sq_quadrature,
+    modal_stable,
+    random_mixed,
+    random_stable,
+    stacked_max_error,
+)
 
 
 def max_error_cfg(max_order, **kw):
@@ -54,6 +65,20 @@ class TestConfigValidation:
     def test_scalar_ranges(self, kw):
         with pytest.raises(ValueError):
             ReducerConfig(SelectionStrategy.max_error(), **kw)
+
+
+@pytest.fixture(scope="module")
+def swamped_run():
+    # From order 8 on, the greedy models of this mixed-stability parent
+    # have output maps of norm 1e6 up to 4e9, and the error trace computed
+    # from their Gramians, which pass the residual checks, is rounding
+    # noise: at order 13 it reads -5e5 or +5e6 depending on the BLAS thread
+    # count, against ||g||^2 = 730.  A negative trace clipped to zero would
+    # pass as an exact hit and stop the loop as converged-error.
+    g = random_mixed(100, 40, 3, 3, seed=7, field="complex")
+    strategy = SelectionStrategy.random(omega_min=1e-2, omega_max=1e2, K=100, seed=1)
+    cfg = ReducerConfig(strategy, max_order=13, rho=0.999, error_rel_tol=1e-3)
+    return g, reduce(g, cfg)
 
 
 class TestReduce:
@@ -171,24 +196,65 @@ class TestReduce:
         assert len(trace.rows) == 2
         assert all(math.isnan(row.error_norm) for row in trace.rows)
 
-    def test_rounding_swamped_error_records_nan(self):
-        # From order 8 on, the greedy models of this mixed-stability parent
-        # have output maps of norm 1e6 up to 4e9, and the error trace
-        # computed from their Gramians, which pass the residual checks, is
-        # rounding noise: at order 13 it reads -5e5 or +5e6 depending on the
-        # BLAS thread count, against ||g||^2 = 730.  A negative trace
-        # clipped to zero would pass as an exact hit and stop the loop as
-        # converged-error.
-        g = random_mixed(100, 40, 3, 3, seed=7, field="complex")
-        strategy = SelectionStrategy.random(omega_min=1e-2, omega_max=1e2, K=100, seed=1)
-        cfg = ReducerConfig(strategy, max_order=13, rho=0.999, error_rel_tol=1e-3)
-        trace = reduce(g, cfg)
+    def test_rounding_swamped_error_records_nan(self, swamped_run):
+        g, trace = swamped_run
         assert trace.stop_reason == "max-order"
         assert trace.model.n == 13
         assert math.isnan(trace.rows[-1].error_norm)
         assert all(not row.error_norm < 1e-3 * math.sqrt(trace.gamma0) for row in trace.rows)
         with pytest.raises(IllConditionedLyapunov):
             error_norm(g, trace.model)
+
+    def test_rounding_swamped_h2_norm_raises(self, swamped_run):
+        # The same error system through h2_norm_sq, which used to clip the
+        # noise-dominated trace to 0.0 instead of rejecting it.
+        g, trace = swamped_run
+        with pytest.raises(IllConditionedLyapunov):
+            h2_norm_sq(series_sub(g, trace.model))
+
+    def test_max_error_matches_stacked_search(self, monkeypatch):
+        # The selector with the parent's responses cached against the old
+        # dense solves on the stacked error system, over a whole run.
+        sys = random_stable(40, 3, 3, seed=42)
+        cfg = max_error_cfg(12, rho=0.999, gamma_rel_tol=1e-300)
+        new = reduce(sys, cfg)
+        monkeypatch.setattr(tanmor.reduction, "select_max_error", stacked_max_error)
+        old = reduce(sys, cfg)
+        assert new.stop_reason == old.stop_reason == "max-order"
+        assert [row.order for row in new.rows] == [row.order for row in old.rows]
+        npt.assert_allclose(
+            [row.omega for row in new.rows], [row.omega for row in old.rows], rtol=1e-10
+        )
+        npt.assert_allclose(
+            [row.gamma for row in new.rows], [row.gamma for row in old.rows], rtol=1e-12
+        )
+
+    def test_max_error_cache_releases_parent(self):
+        # The per-parent response cache must not keep the parent (and its
+        # Hessenberg factors) alive after the caller drops it.
+        sys = random_stable(20, 2, 2, seed=43)
+        ref = weakref.ref(sys)
+        trace = reduce(sys, max_error_cfg(6))
+        assert trace.rows
+        del sys
+        gc.collect()
+        assert ref() is None
+
+    def test_unconverged_peak_search_halts_with_trace(self, monkeypatch):
+        calls = []
+
+        def capped_from_second_call(g, r, rtol=1e-6):
+            calls.append(1)
+            if len(calls) == 2:
+                monkeypatch.setattr(tanmor.gramians, "PEAK_SEARCH_MAX_ROUNDS", 1)
+            return select_max_error(g, r, rtol)
+
+        monkeypatch.setattr(tanmor.reduction, "select_max_error", capped_from_second_call)
+        sys = random_stable(6, 2, 2, seed=26)
+        trace = reduce(sys, max_error_cfg(6))
+        assert trace.stop_reason.startswith("halted[PeakSearchNotConverged]: ")
+        assert len(trace.rows) == 1
+        assert trace.model.n == trace.rows[0].order
 
     def test_track_error_off_records_nan(self):
         sys = random_stable(6, 2, 2, seed=26)

@@ -1,11 +1,17 @@
 """Frequency selection rules, the portable RNG, and refinement decisions."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tanmor.gramians
 from tanmor import (
     EmptyGrid,
     InterpData,
+    PeakSearchNotConverged,
     RankExhausted,
     SelectionStrategy,
     SplitMix64,
@@ -15,14 +21,22 @@ from tanmor import (
     eval_tf,
     extend_point,
     freq_sweep,
+    peak_gain,
     refine,
     select_discrete,
     select_max_error,
     select_random,
+    series_sub,
     truncated_point,
 )
 
-from helpers import random_stable
+from helpers import (
+    level_crossings,
+    naive_tf,
+    random_mixed,
+    random_stable,
+    stacked_max_error,
+)
 
 
 def resonant_siso(w0=2.0, zeta=5e-3):
@@ -130,6 +144,62 @@ class TestSelectMaxError:
             eval_tf(g, 1j * w) - eval_tf(r, 1j * w), compute_uv=False
         )[0]
         assert peak_found >= peak_grid * 0.999
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex"]),
+        n=st.integers(1, 6),
+        r_kind=st.sampled_from(["empty", "stable", "mixed"]),
+        n_r=st.integers(1, 3),
+        p=st.integers(1, 3),
+        q=st.integers(1, 3),
+        feedthrough=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_stacked_path(self, field, n, r_kind, n_r, p, q, feedthrough, seed):
+        # The cached G(jw) - R(jw) evaluation against the dense solves on
+        # the stacked error system: same gain within rtol, and the frequency
+        # in the same Bruinsma-Steinbuch bracket, i.e. between the same two
+        # crossings of the level gain / (1 + 2 rtol).
+        rtol = 1e-6
+        g = random_stable(n, p, q, seed, field=field, feedthrough=feedthrough)
+        if r_kind == "empty":
+            r = StateSpace.constant(np.zeros((p, q)), scalar_field=field)
+        elif r_kind == "stable":
+            r = random_stable(n_r, p, q, seed + 1, field=field, feedthrough=feedthrough)
+        else:
+            r = random_mixed(n_r, 1, p, q, seed + 1, field=field)
+        err = series_sub(g, r)
+        ref = peak_gain(err, rtol)
+        w = select_max_error(g, r, rtol)
+        if math.isinf(ref.omega_star):
+            assert w == pytest.approx(stacked_max_error(g, r, rtol), rel=1e-10)
+            return
+        gain = np.linalg.svd(naive_tf(err, 1j * w), compute_uv=False)[0]
+        assert gain == pytest.approx(ref.gain, rel=2 * rtol)
+        crossings = level_crossings(err, ref.gain / (1 + 2 * rtol))
+        w_ref = abs(ref.omega_star) if err.is_real else ref.omega_star
+        if err.is_real:
+            crossings = np.concatenate([[0.0], crossings])
+        below = crossings[crossings <= w_ref * (1 + 1e-9) + 1e-12]
+        above = crossings[crossings >= w_ref * (1 - 1e-9) - 1e-12]
+        lo = below.max() if below.size else -math.inf
+        hi = above.min() if above.size else math.inf
+        slack = 1e-9 * max(1.0, abs(w_ref))
+        assert lo - slack <= w <= hi + slack
+
+    def test_unconverged_search_raises(self, monkeypatch):
+        # The search on this resonance needs two Hamiltonian rounds: one
+        # that improves the gain and one that certifies it.
+        g = resonant_siso()
+        select_max_error(g, zero_like(g))
+        peak_gain(g)
+        monkeypatch.setattr(tanmor.gramians, "PEAK_SEARCH_MAX_ROUNDS", 1)
+        with pytest.raises(PeakSearchNotConverged, match="1 Hamiltonian rounds"):
+            select_max_error(g, zero_like(g))
+        with pytest.raises(PeakSearchNotConverged):
+            peak_gain(g)
 
 
 class TestSelectDiscrete:
