@@ -74,7 +74,7 @@ from .selection import (
     select_max_error,
     select_random,
 )
-from .weights import WeightSolution, build_x, gamma_of, solve_weights
+from .weights import WeightSolution, solve_weights
 
 __version__ = "0.1.0"
 
@@ -125,9 +125,7 @@ __all__ = [
     "realize_h",
     # weights
     "WeightSolution",
-    "build_x",
     "solve_weights",
-    "gamma_of",
     # selection
     "StrategyKind",
     "SelectionStrategy",

@@ -264,7 +264,7 @@ def _cmd_reduce(args) -> int:
 
     sweep = None
     if orders is not None:
-        sweep = sweep_orders(model, cfg, orders, args.baseline)
+        sweep = sweep_orders(model, trace, orders, args.baseline)
         compare_path = out.with_name(out.name + ".compare.csv")
         _write_compare(compare_path, sweep)
         written.append(compare_path)

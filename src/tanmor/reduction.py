@@ -8,7 +8,7 @@ data so diagnostics can replay any step.
 
 :func:`balanced_truncation` provides the classical square-root baseline
 for stable systems, and :func:`sweep_orders` tabulates both methods over a
-list of target orders from a single greedy run.
+list of target orders from one finished greedy run.
 """
 
 from __future__ import annotations
@@ -329,9 +329,19 @@ def balanced_truncation(sys: StateSpace, order: int) -> StateSpace:
         raise IndexOutOfRange(
             f"target order {order} outside [0, {sys.n}]"
         )
+    balancing = _balancing_svd(sys) if order and sys.n else None
+    return _truncate(sys, balancing, order)
+
+
+def _truncate(sys: StateSpace, balancing, order: int) -> StateSpace:
+    """Project ``sys`` onto its ``order`` leading Hankel directions.
+
+    ``balancing`` is ``_balancing_svd(sys)``; it is not read (and may be
+    None) when ``order`` or the state dimension is zero.
+    """
     if order == 0 or sys.n == 0:
         return StateSpace.constant(sys.D, scalar_field=sys.scalar_field)
-    Lp, Lq, U, s, Vh = _balancing_svd(sys)
+    Lp, Lq, U, s, Vh = balancing
     rank = int(np.count_nonzero(s > sys.n * np.finfo(float).eps * s[0]))
     k = min(order, max(rank, 1))
     root = np.sqrt(s[:k])
@@ -368,24 +378,33 @@ class SweepPoint:
 
 def sweep_orders(
     sys: StateSpace,
-    cfg: ReducerConfig,
+    trace: ReductionTrace,
     orders: Sequence[int],
     baseline: str = "balanced",
 ) -> list[SweepPoint]:
     """Tabulate greedy and baseline errors over a list of target orders.
 
-    A single greedy run at the largest requested order supplies every
-    row: for each order the last trace row that fits the budget is used.
-    Orders smaller than the first recorded model fall back to the
-    zero-order (feedthrough-only) error, the square root of the starting
-    objective.
+    ``trace`` is a finished greedy run on ``sys`` (run it with error
+    tracking, or every greedy error reads NaN); it supplies every row: for
+    each order the last trace row that fits the budget is used, so an order
+    above the run's final order reports the final model, as its
+    ``achieved_order`` shows.  Orders smaller than the first recorded model
+    fall back to the zero-order (feedthrough-only) error, the square root
+    of the starting objective.
 
     Parameters
     ----------
     baseline : str
         ``"balanced"`` compares against square-root balanced truncation
-        at each order (clipped to the state dimension); ``"none"`` skips
-        the comparison.
+        at each order (clipped to the state dimension); the balancing
+        Gramians and SVD are computed once for the whole table.
+        ``"none"`` skips the comparison.
+
+    Raises
+    ------
+    UnstableSystem
+        If the balanced baseline is requested for a system that is not
+        strictly stable.
     """
     if baseline not in ("balanced", "none"):
         raise ValueError(f"unknown baseline {baseline!r}")
@@ -395,8 +414,12 @@ def sweep_orders(
     if not orders:
         return []
 
-    run_cfg = dataclasses.replace(cfg, max_order=max(max(orders), 1), track_error=True)
-    trace = reduce(sys, run_cfg)
+    balancing = None
+    if baseline == "balanced":
+        if not is_strictly_stable(sys):
+            raise UnstableSystem("balanced truncation requires a strictly stable system")
+        if sys.n and max(orders):
+            balancing = _balancing_svd(sys)
 
     out: list[SweepPoint] = []
     for k in orders:
@@ -406,7 +429,7 @@ def sweep_orders(
         else:
             achieved, err = row.order, row.error_norm
         if baseline == "balanced":
-            bt = balanced_truncation(sys, min(k, sys.n))
+            bt = _truncate(sys, balancing, min(k, sys.n))
             bt_err = error_norm(sys, bt).value
         else:
             bt_err = math.nan

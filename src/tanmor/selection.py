@@ -161,14 +161,11 @@ class Refinement:
     merged_index: int | None = None
 
 
-def _pointwise_error(g: StateSpace, r: StateSpace, omegas) -> np.ndarray:
-    gs = freq_sweep(g, omegas)
+def _pointwise_error(gs: Sequence[np.ndarray], r: StateSpace, omegas) -> np.ndarray:
+    """sigma_max(G(jw) - R(jw)) at each w, given the parent's responses gs."""
     rs = freq_sweep(r, omegas)
     return np.array(
-        [
-            np.linalg.svd(a.value - b.value, compute_uv=False)[0]
-            for a, b in zip(gs, rs)
-        ]
+        [np.linalg.svd(a - b.value, compute_uv=False)[0] for a, b in zip(gs, rs)]
     )
 
 
@@ -177,11 +174,17 @@ class _ParentResponses:
 
     Holds no reference to the parent itself, so the weak-keyed cache below
     lets a parent (and its Hessenberg factors) go once callers drop it.
+    The poles are computed on first use: the discrete rule never needs them.
     """
 
-    def __init__(self, g: StateSpace):
-        self.poles = g.poles()
+    def __init__(self):
+        self._poles: np.ndarray | None = None
         self.values: dict[float, np.ndarray] = {}
+
+    def poles(self, g: StateSpace) -> np.ndarray:
+        if self._poles is None:
+            self._poles = g.poles()
+        return self._poles
 
     def at(self, g: StateSpace, omegas) -> list[np.ndarray]:
         """G(j*w) for each w, evaluating only frequencies not seen before."""
@@ -193,6 +196,13 @@ class _ParentResponses:
 _PARENT_RESPONSES: "weakref.WeakKeyDictionary[StateSpace, _ParentResponses]" = (
     weakref.WeakKeyDictionary()
 )
+
+
+def _parent_responses(g: StateSpace) -> _ParentResponses:
+    parent = _PARENT_RESPONSES.get(g)
+    if parent is None:
+        parent = _PARENT_RESPONSES[g] = _ParentResponses()
+    return parent
 
 
 def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
@@ -218,11 +228,9 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
     PeakSearchNotConverged
         If the search runs out of Hamiltonian rounds.
     """
-    parent = _PARENT_RESPONSES.get(g)
-    if parent is None:
-        parent = _PARENT_RESPONSES[g] = _ParentResponses(g)
+    parent = _parent_responses(g)
     err = series_sub(g, r)
-    poles = np.concatenate([parent.poles, r.poles()])
+    poles = np.concatenate([parent.poles(g), r.poles()])
 
     def sigma_max(omegas):
         gs = parent.at(g, omegas)
@@ -240,7 +248,10 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
 def select_discrete(g: StateSpace, r: StateSpace, grid) -> float:
     """Grid frequency with the largest pointwise spectral error.
 
-    Ties resolve toward the smallest frequency.
+    Ties resolve toward the smallest frequency.  The parent's responses on
+    the grid come from the same per-parent memo as :func:`select_max_error`,
+    so over a run G is evaluated once per grid point and each call
+    evaluates only R.
 
     Raises
     ------
@@ -250,7 +261,7 @@ def select_discrete(g: StateSpace, r: StateSpace, grid) -> float:
     omegas = np.unique(np.asarray([float(w) for w in grid], dtype=float))
     if omegas.size == 0:
         raise EmptyGrid("discrete selection needs a nonempty grid")
-    errs = _pointwise_error(g, r, omegas)
+    errs = _pointwise_error(_parent_responses(g).at(g, omegas), r, omegas)
     return float(omegas[int(np.argmax(errs))])
 
 
@@ -277,7 +288,9 @@ def select_random(
     draws = np.array(
         [10.0 ** (lg_lo + rng.next_float() * (lg_hi - lg_lo)) for _ in range(cfg.K)]
     )
-    errs = _pointwise_error(g, r, draws)
+    # Fresh draws every call: memoizing them would only grow the memo.
+    gs = [resp.value for resp in freq_sweep(g, draws)]
+    errs = _pointwise_error(gs, r, draws)
     return float(draws[int(np.argmax(errs))])
 
 

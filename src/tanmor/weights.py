@@ -8,8 +8,8 @@ and parent output map C, the reduction objective is the quadratic form
 
 whose minimizer solves the normal equations W (Cs Theta Cs*) = C Theta Cs*.
 Everything is computed through a PSD factor Theta = L L*: with M = Cs L the
-solve is an ordinary least-squares problem ``min ||C L - W M||_F`` and X
-is assembled as a Gram matrix, so it can never go indefinite from
+solve is an ordinary least-squares problem ``min ||C L - W M||_F`` and
+gamma is its squared residual, so it can never go negative from
 rounding.
 
 The projected Gramian Cs Theta Cs* loses rank once the interpolation data
@@ -32,7 +32,7 @@ from .gramians import GramianResult, psd_factor
 from .interpolation import InterpData
 from .lti import StateSpace
 
-__all__ = ["WeightSolution", "build_x", "solve_weights", "gamma_of"]
+__all__ = ["WeightSolution", "solve_weights"]
 
 #: Eigenvalues of Cs Theta Cs* at or below this times the largest eigenvalue
 #: count as zero for the rank diagnostic (equivalently, singular values of
@@ -61,27 +61,6 @@ class WeightSolution:
     gamma: float
     gram_rank: int
     regularized: bool
-
-
-def build_x(sys: StateSpace, theta: GramianResult, data: InterpData) -> np.ndarray:
-    """Assemble the (p + r) x (p + r) objective matrix X.
-
-    X is formed as F F* with F = [C; -Cs] L, so the result is Hermitian
-    positive semidefinite by construction.
-    """
-    if data.n != sys.n or data.p != sys.p:
-        raise DimensionMismatch(
-            f"interpolation data (n={data.n}, p={data.p}) does not match "
-            f"system (n={sys.n}, p={sys.p})"
-        )
-    if theta.theta.shape != (sys.n, sys.n):
-        raise DimensionMismatch(
-            f"Gramian has shape {theta.theta.shape}, expected ({sys.n}, {sys.n})"
-        )
-    L = psd_factor(theta.theta)
-    F = np.vstack([sys.C, -data.tangent_obs]) @ L
-    X = F @ F.conj().T
-    return 0.5 * (X + X.conj().T)
 
 
 def solve_weights(
@@ -130,39 +109,3 @@ def solve_weights(
     return WeightSolution(
         W.astype(dtype, copy=False), gamma, gram_rank, gram_rank < r
     )
-
-
-def gamma_of(x: np.ndarray, w: np.ndarray) -> float:
-    """Evaluate the quadratic objective trace([I W] x [I; W*]).
-
-    Parameters
-    ----------
-    x : numpy.ndarray
-        Hermitian (p + r) x (p + r) objective matrix (see :func:`build_x`).
-    w : numpy.ndarray
-        p x r weight matrix.
-
-    Returns
-    -------
-    float
-        The (real) quadratic-form value.  For stable parents this equals
-        the squared H2 norm of the weighted auxiliary error system.
-    """
-    w = np.atleast_2d(np.asarray(w))
-    x = np.asarray(x)
-    p, r = w.shape
-    if x.shape != (p + r, p + r):
-        raise DimensionMismatch(
-            f"objective matrix has shape {x.shape}, expected ({p + r}, {p + r})"
-        )
-    x11 = x[:p, :p]
-    x12 = x[:p, p:]
-    x21 = x[p:, :p]
-    x22 = x[p:, p:]
-    val = (
-        np.trace(x11)
-        + np.trace(w @ x21)
-        + np.trace(x12 @ w.conj().T)
-        + np.trace(w @ x22 @ w.conj().T)
-    )
-    return float(np.real(val))

@@ -13,7 +13,15 @@ import warnings
 import numpy as np
 import scipy.integrate
 
-from tanmor import StateSpace, peak_gain, series_sub
+from tanmor import (
+    DimensionMismatch,
+    EmptyGrid,
+    StateSpace,
+    freq_sweep,
+    peak_gain,
+    psd_factor,
+    series_sub,
+)
 
 # ---------------------------------------------------------------------------
 # system builders
@@ -183,3 +191,58 @@ def level_crossings(sys, gamma, tol=1e-8):
     eigs = np.linalg.eigvals(ham)
     imag = eigs[np.abs(eigs.real) <= tol * (1.0 + np.abs(eigs))].imag
     return np.unique(np.abs(imag) if sys.is_real else imag)
+
+
+def uncached_discrete(g, r, grid):
+    """Discrete selection with the parent evaluated afresh on every call.
+
+    The library's selector before it memoized the parent's grid responses:
+    ``freq_sweep`` of g and of r on the sorted, deduplicated grid, and the
+    first grid point with the largest sigma_max(G(jw) - R(jw)).
+    """
+    omegas = np.unique(np.asarray([float(w) for w in grid], dtype=float))
+    if omegas.size == 0:
+        raise EmptyGrid("discrete selection needs a nonempty grid")
+    errs = [
+        np.linalg.svd(a.value - b.value, compute_uv=False)[0]
+        for a, b in zip(freq_sweep(g, omegas), freq_sweep(r, omegas))
+    ]
+    return float(omegas[int(np.argmax(errs))])
+
+
+def build_x(sys, theta, data):
+    """The (p + r) x (p + r) objective matrix X of the weight problem.
+
+    X = F F* with F = [C; -Cs] L and Theta = L L*, so that
+    gamma(W) = trace([I W] X [I; W*]); Hermitian PSD by construction.
+    """
+    if data.n != sys.n or data.p != sys.p:
+        raise DimensionMismatch(
+            f"interpolation data (n={data.n}, p={data.p}) does not match "
+            f"system (n={sys.n}, p={sys.p})"
+        )
+    if theta.theta.shape != (sys.n, sys.n):
+        raise DimensionMismatch(
+            f"Gramian has shape {theta.theta.shape}, expected ({sys.n}, {sys.n})"
+        )
+    F = np.vstack([sys.C, -data.tangent_obs]) @ psd_factor(theta.theta)
+    X = F @ F.conj().T
+    return 0.5 * (X + X.conj().T)
+
+
+def gamma_of(x, w):
+    """The quadratic objective trace([I W] x [I; W*]) by its four blocks."""
+    w = np.atleast_2d(np.asarray(w))
+    x = np.asarray(x)
+    p, r = w.shape
+    if x.shape != (p + r, p + r):
+        raise DimensionMismatch(
+            f"objective matrix has shape {x.shape}, expected ({p + r}, {p + r})"
+        )
+    val = (
+        np.trace(x[:p, :p])
+        + np.trace(w @ x[p:, :p])
+        + np.trace(x[:p, p:] @ w.conj().T)
+        + np.trace(w @ x[p:, p:] @ w.conj().T)
+    )
+    return float(np.real(val))

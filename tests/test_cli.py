@@ -11,6 +11,9 @@ import re
 import numpy as np
 import pytest
 
+import tanmor.cli
+import tanmor.reduction
+
 from tanmor import StateSpace
 from tanmor.cli import COMPARE_HEADER, TRACE_HEADER, build_parser, run_cli
 from tanmor.modelio import load_model, save_model
@@ -278,6 +281,27 @@ class TestOrderSweep:
             assert float(row[2]) >= 0.0
             assert row[3] in ("0", "1")
             assert float(row[4]) >= 0.0
+
+    def test_orders_run_the_greedy_loop_once(self, plant, tmp_path, capsys, monkeypatch):
+        calls = []
+        for owner in (tanmor.cli, tanmor.reduction):
+
+            def counting(*args, _inner=owner.reduce, **kwargs):
+                calls.append(1)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, "reduce", counting)
+        path, _ = plant
+        out = tmp_path / "run"
+        assert run_cli(reduce_args(path, out, "--orders", "2,4,6")) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        # Every row is read off the reported run; order 6 exceeds the
+        # budget of 4 and reports the final model.
+        _, trace_rows = read_trace(out)
+        with open(str(out) + ".compare.csv", newline="") as fh:
+            compare = list(csv.reader(fh))[1:]
+        assert compare[-1][1:3] == [trace_rows[-1][4], trace_rows[-1][6]]
 
     def test_sweep_against_no_baseline(self, plant, tmp_path, capsys):
         path, _ = plant

@@ -1,8 +1,10 @@
 """The greedy loop end to end, plus the balanced-truncation baseline."""
 
+import collections
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +12,7 @@ import pytest
 
 import tanmor.gramians
 import tanmor.reduction
+import tanmor.selection
 from tanmor import (
     IllConditionedLyapunov,
     IndexOutOfRange,
@@ -22,6 +25,7 @@ from tanmor import (
     balanced_truncation,
     error_norm,
     eval_tf,
+    freq_sweep,
     h2_norm_sq,
     hankel_values,
     reduce,
@@ -37,6 +41,7 @@ from helpers import (
     random_mixed,
     random_stable,
     stacked_max_error,
+    uncached_discrete,
 )
 
 
@@ -240,6 +245,57 @@ class TestReduce:
         gc.collect()
         assert ref() is None
 
+    @pytest.mark.parametrize(
+        "parent",
+        [
+            lambda: random_stable(40, 3, 3, seed=44),
+            lambda: random_mixed(30, 10, 2, 2, seed=45, field="complex"),
+        ],
+        ids=["real", "complex-mixed"],
+    )
+    def test_discrete_matches_uncached_grid(self, monkeypatch, parent):
+        # The grid selector reading the parent's memoized responses against
+        # one that re-evaluates the parent in every call: same bits.
+        sys = parent()
+        cfg = ReducerConfig(
+            SelectionStrategy.discrete(K=80), max_order=12, rho=0.999, gamma_rel_tol=1e-300
+        )
+        new = reduce(sys, cfg)
+        monkeypatch.setattr(tanmor.reduction, "select_discrete", uncached_discrete)
+        old = reduce(sys, cfg)
+        assert new.stop_reason == old.stop_reason
+        assert len(new.rows) == len(old.rows) >= 5
+        for field in ("omega", "gamma", "error_norm"):
+            got = np.array([getattr(row, field) for row in new.rows])
+            want = np.array([getattr(row, field) for row in old.rows])
+            assert got.tobytes() == want.tobytes(), field
+
+    def test_discrete_evaluates_parent_once_per_grid_point(self, monkeypatch):
+        sys = random_stable(30, 2, 2, seed=46)
+        seen = collections.Counter()
+
+        def counting_sweep(s, omegas):
+            omegas = [float(w) for w in omegas]
+            if s is sys:
+                seen.update(omegas)
+            return freq_sweep(s, omegas)
+
+        monkeypatch.setattr(tanmor.selection, "freq_sweep", counting_sweep)
+        strategy = SelectionStrategy.discrete(K=50)
+        trace = reduce(sys, ReducerConfig(strategy, max_order=10, rho=0.999))
+        assert len(trace.rows) >= 4
+        assert set(seen) == set(strategy.grid)
+        assert max(seen.values()) == 1
+
+    def test_discrete_cache_releases_parent(self):
+        sys = random_stable(20, 2, 2, seed=43)
+        ref = weakref.ref(sys)
+        trace = reduce(sys, ReducerConfig(SelectionStrategy.discrete(K=40), max_order=6))
+        assert trace.rows
+        del sys
+        gc.collect()
+        assert ref() is None
+
     def test_unconverged_peak_search_halts_with_trace(self, monkeypatch):
         calls = []
 
@@ -365,11 +421,16 @@ class TestBalancedTruncation:
         assert balanced_truncation(sys, 0).n == 0
 
 
+def sweep_trace(sys, cfg, orders):
+    """The greedy run a sweep over ``orders`` reads its rows from."""
+    return reduce(sys, replace(cfg, max_order=max(max(orders), 1), track_error=True))
+
+
 class TestSweepOrders:
     def test_table_structure(self):
         sys = modal_stable(4, 2, 2, seed=36)
         cfg = max_error_cfg(6, max_iters=20, track_error=False)
-        table = sweep_orders(sys, cfg, [2, 4, 6])
+        table = sweep_orders(sys, sweep_trace(sys, cfg, [2, 4, 6]), [2, 4, 6])
         assert [pt.order for pt in table] == [2, 4, 6]
         for pt in table:
             assert 0 <= pt.achieved_order <= pt.order
@@ -379,7 +440,7 @@ class TestSweepOrders:
     def test_zero_order_falls_back_to_baseline_energy(self):
         sys = random_stable(6, 2, 2, seed=37)
         cfg = max_error_cfg(4, max_iters=10)
-        table = sweep_orders(sys, cfg, [0], baseline="none")
+        table = sweep_orders(sys, sweep_trace(sys, cfg, [0]), [0], baseline="none")
         pt = table[0]
         assert pt.achieved_order == 0
         assert math.isnan(pt.baseline_error)
@@ -387,9 +448,38 @@ class TestSweepOrders:
 
     def test_bad_arguments(self):
         sys = random_stable(4, 1, 1, seed=38)
-        cfg = max_error_cfg(4)
+        trace = sweep_trace(sys, max_error_cfg(4), [2])
         with pytest.raises(ValueError):
-            sweep_orders(sys, cfg, [-1])
+            sweep_orders(sys, trace, [-1])
         with pytest.raises(ValueError):
-            sweep_orders(sys, cfg, [2], baseline="pade")
-        assert sweep_orders(sys, cfg, []) == []
+            sweep_orders(sys, trace, [2], baseline="pade")
+        assert sweep_orders(sys, trace, []) == []
+
+    def test_reads_rows_of_the_given_trace(self):
+        sys = modal_stable(4, 2, 2, seed=36)
+        trace = reduce(sys, max_error_cfg(4, max_iters=20))
+        final = trace.rows[-1]
+        table = sweep_orders(sys, trace, [trace.rows[0].order, 8], baseline="none")
+        assert table[0].achieved_order == trace.rows[0].order
+        assert table[0].error == trace.rows[0].error_norm
+        # An order above the run's budget reports the final model.
+        assert (table[1].achieved_order, table[1].error) == (
+            final.order,
+            final.error_norm,
+        )
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_baseline_matches_balanced_truncation(self, field):
+        sys = random_stable(8, 2, 2, seed=39, field=field, feedthrough=True)
+        orders = [0, 2, 5, 8, 12]
+        table = sweep_orders(sys, sweep_trace(sys, max_error_cfg(8), orders), orders)
+        for pt in table:
+            bt = balanced_truncation(sys, min(pt.order, sys.n))
+            assert pt.baseline_error == error_norm(sys, bt).value
+
+    def test_balanced_baseline_rejects_unstable_parent(self):
+        sys = random_mixed(4, 2, 2, 2, seed=40)
+        trace = sweep_trace(sys, max_error_cfg(4, max_iters=3), [2])
+        with pytest.raises(UnstableSystem):
+            sweep_orders(sys, trace, [2])
+        assert len(sweep_orders(sys, trace, [2], baseline="none")) == 1

@@ -11,10 +11,8 @@ from tanmor import (
     InterpPoint,
     StateSpace,
     append_point,
-    build_x,
     controllability_gramian,
     freq_sweep,
-    gamma_of,
     h2_norm_sq,
     realize_h,
     realize_r,
@@ -23,7 +21,7 @@ from tanmor import (
     truncated_point,
 )
 
-from helpers import h2_sq_quadrature, random_stable
+from helpers import build_x, gamma_of, h2_sq_quadrature, random_stable
 
 
 def sampled_data(sys, omegas, rank=1):
