@@ -24,7 +24,9 @@ Hamiltonian matrix.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -79,6 +81,11 @@ class GramianResult:
     theta: np.ndarray
     residual: float
 
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        """PSD factor L with theta = L L*, computed on first use."""
+        return psd_factor(self.theta)
+
 
 class PeakGain(NamedTuple):
     """Largest singular value of the frequency response and where it occurs.
@@ -128,7 +135,10 @@ def controllability_gramian(sys: StateSpace) -> GramianResult:
     the dynamics are decoupled by an ordered Schur form and a Sylvester
     solve; the stable block keeps its usual Gramian while the antistable
     block solves the sign-flipped equation, which is what the two-sided
-    frequency integral of the resolvent demands.
+    frequency integral of the resolvent demands.  When ``sys`` is a parent
+    whose per-parent context exists (it does during :func:`tanmor.reduce`
+    and after :func:`error_norm` against it), that decoupled Schur form is
+    kept there, so error norms against ``sys`` reuse it.
 
     Raises
     ------
@@ -157,7 +167,10 @@ def controllability_gramian(sys: StateSpace) -> GramianResult:
         theta = 0.5 * (theta + theta.conj().T)
         residual = _lyapunov_defect(A, theta, -bbh)
     else:
-        theta, residual = _separated_gramian(sys)
+        output = "real" if sys.is_real else "complex"
+        ctx = _PARENTS.get(sys)
+        split = _schur_split(sys, output) if ctx is None else ctx.split(sys, output)
+        theta, residual = _separated_gramian(split, sys.is_real)
 
     if residual > LYAPUNOV_RESIDUAL_RTOL * max(bbh_norm, np.finfo(float).tiny):
         raise IllConditionedLyapunov(
@@ -168,49 +181,130 @@ def controllability_gramian(sys: StateSpace) -> GramianResult:
     return GramianResult(theta, float(residual))
 
 
-def _separated_gramian(sys: StateSpace):
-    """Gramian of a system with poles in both open half-planes."""
+class _SchurSplit(NamedTuple):
+    """Ordered Schur form A = Q T Q* decoupled into its stable and antistable parts.
+
+    T11 (k x k) holds the poles in the open left half-plane and T22 the
+    rest, both upper (quasi-)triangular.  With S = [[I, Y], [0, I]] and
+    V = Q S, A = V diag(T11, T22) V^-1 and V^-1 B = [B1; B2].
+    """
+
+    k: int
+    Q: np.ndarray
+    Y: np.ndarray
+    T11: np.ndarray
+    T22: np.ndarray
+    B1: np.ndarray
+    B2: np.ndarray
+
+    def to_state(self, M: np.ndarray) -> np.ndarray:
+        """V @ M, without forming V."""
+        k = self.k
+        return self.Q @ np.vstack([M[:k] + self.Y @ M[k:], M[k:]])
+
+
+def _schur_split(sys: StateSpace, output: str) -> _SchurSplit:
+    """Decoupled ordered Schur form of ``sys``; ``output`` is "real" or "complex".
+
+    Raises
+    ------
+    IllConditionedLyapunov
+        If the stable/antistable coupling solve leaves a relative residual
+        above 1e-10.
+    """
     A, B = sys.A, sys.B
-    n = A.shape[0]
-    if sys.is_real:
-        T, Q, k = sla.schur(A, output="real", sort="lhp")
+    if sys.n == 0:
+        dtype = np.float64 if output == "real" else np.complex128
+        T, Q, k = np.zeros((0, 0), dtype=dtype), np.zeros((0, 0), dtype=dtype), 0
     else:
-        T, Q, k = sla.schur(A, output="complex", sort="lhp")
+        T, Q, k = sla.schur(A, output=output, sort="lhp")
     T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
     Bt = Q.conj().T @ B
 
     # Decouple: with state transform [[I, Y], [0, I]], the stable block
     # sees the input matrix B1 - Y B2.
-    Y = sla.solve_sylvester(T11, -T22, -T12)
-    syl_defect = np.linalg.norm(T11 @ Y - Y @ T22 + T12, "fro")
-    syl_scale = (
-        np.linalg.norm(T11 @ Y, "fro")
-        + np.linalg.norm(Y @ T22, "fro")
-        + np.linalg.norm(T12, "fro")
-    )
-    if syl_defect > 1e-10 * max(syl_scale, np.finfo(float).tiny):
-        raise IllConditionedLyapunov(
-            f"stable/antistable coupling solve left residual {syl_defect:.3e} "
-            f"(scale {syl_scale:.3e})"
+    if T12.size:
+        Y = sla.solve_sylvester(T11, -T22, -T12)
+        syl_defect = np.linalg.norm(T11 @ Y - Y @ T22 + T12, "fro")
+        syl_scale = (
+            np.linalg.norm(T11 @ Y, "fro")
+            + np.linalg.norm(Y @ T22, "fro")
+            + np.linalg.norm(T12, "fro")
         )
+        if syl_defect > 1e-10 * max(syl_scale, np.finfo(float).tiny):
+            raise IllConditionedLyapunov(
+                f"stable/antistable coupling solve left residual {syl_defect:.3e} "
+                f"(scale {syl_scale:.3e})"
+            )
+    else:
+        Y = np.zeros_like(T12)
 
-    B1 = Bt[:k] - Y @ Bt[k:]
-    B2 = Bt[k:]
-    P_s = sla.solve_continuous_lyapunov(T11, -(B1 @ B1.conj().T))
-    P_a = sla.solve_continuous_lyapunov(T22, B2 @ B2.conj().T)
+    return _SchurSplit(k, Q, Y, T11, T22, Bt[:k] - Y @ Bt[k:], Bt[k:])
+
+
+def _separated_gramian(split: _SchurSplit, real: bool):
+    """Gramian of a system with poles in both open half-planes."""
+    k, Q, Y, B1, B2 = split.k, split.Q, split.Y, split.B1, split.B2
+    P_s = sla.solve_continuous_lyapunov(split.T11, -(B1 @ B1.conj().T))
+    P_a = sla.solve_continuous_lyapunov(split.T22, B2 @ B2.conj().T)
     residual = max(
-        _lyapunov_defect(T11, P_s, B1 @ B1.conj().T),
-        _lyapunov_defect(T22, P_a, -(B2 @ B2.conj().T)),
+        _lyapunov_defect(split.T11, P_s, B1 @ B1.conj().T),
+        _lyapunov_defect(split.T22, P_a, -(B2 @ B2.conj().T)),
     )
 
-    S = np.eye(n, dtype=T.dtype)
+    S = np.eye(Q.shape[0], dtype=Q.dtype)
     S[:k, k:] = Y
     inner = S @ sla.block_diag(P_s, P_a) @ S.conj().T
     theta = Q @ inner @ Q.conj().T
     theta = 0.5 * (theta + theta.conj().T)
-    if sys.is_real:
+    if real:
         theta = theta.real
     return theta, float(residual)
+
+
+class _ParentContext:
+    """Parent-only quantities of one system, each computed at most once.
+
+    Holds the Gramian (with its PSD factor), the poles, a memo of responses
+    w -> G(jw) that :mod:`tanmor.selection` fills, and the decoupled Schur
+    split in each form asked for.  It holds no reference to the system
+    itself, so the weak-keyed cache below lets a parent (and all of this)
+    go once callers drop it.
+    """
+
+    def __init__(self):
+        self._gramian: GramianResult | None = None
+        self._poles: np.ndarray | None = None
+        self._splits: dict[str, _SchurSplit] = {}
+        self.responses: dict[float, np.ndarray] = {}
+
+    def gramian(self, g: StateSpace) -> GramianResult:
+        if self._gramian is None:
+            self._gramian = controllability_gramian(g)
+        return self._gramian
+
+    def poles(self, g: StateSpace) -> np.ndarray:
+        if self._poles is None:
+            self._poles = g.poles()
+        return self._poles
+
+    def split(self, g: StateSpace, output: str) -> _SchurSplit:
+        """Schur split in ``output`` ("real" or "complex") form."""
+        if output not in self._splits:
+            self._splits[output] = _schur_split(g, output)
+        return self._splits[output]
+
+
+_PARENTS: "weakref.WeakKeyDictionary[StateSpace, _ParentContext]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _parent_context(g: StateSpace) -> _ParentContext:
+    ctx = _PARENTS.get(g)
+    if ctx is None:
+        ctx = _PARENTS[g] = _ParentContext()
+    return ctx
 
 
 def h2_norm_sq(sys: StateSpace, strict_proper: bool = False) -> float:
@@ -429,19 +523,50 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
 # ---------------------------------------------------------------------------
 
 
+def _triangular_sylvester(T, S, rhs, tol: float) -> np.ndarray:
+    """Solve T M + M S* = rhs for upper (quasi-)triangular T and S.
+
+    Raises
+    ------
+    IllConditionedLyapunov
+        If the residual exceeds ``tol``.
+    """
+    if rhs.size == 0:
+        return rhs
+    trsyl = sla.get_lapack_funcs("trsyl", (T, S, rhs))
+    # info = 1 (close eigenvalues, perturbed solve) is left to the residual check.
+    M, scale, _ = trsyl(T, S, rhs, tranb="T" if trsyl.typecode == "d" else "C")
+    M = M / scale
+    defect = np.linalg.norm(T @ M + M @ S.conj().T - rhs, "fro")
+    if not defect <= tol:
+        raise IllConditionedLyapunov(
+            f"Sylvester residual {defect:.3e} of an error-Gramian block exceeds {tol:.3e}"
+        )
+    return M
+
+
 def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     """H2-type norm of the error system g - r, computed exactly.
 
-    The value is ``sqrt(h2_norm_sq(series_sub(g, r)))``: the square root
-    of trace(C Theta C*) for the error system, with Theta from
-    :func:`controllability_gramian`; reduced models that picked up
-    antistable modes are measured through its stable/antistable split.  It
-    is the square root of the frequency integral of ||G(jw) - R(jw)||_F^2,
-    scaled as in the module docstring.  A value swamped by rounding error
-    (a badly scaled realization of r) raises, as described in
-    :func:`h2_norm_sq`; the decoupled diagonal blocks of the error system
-    are those of g and of r, so the rounding error is judged against their
-    squared norms rather than against the (possibly tiny) error.
+    The value is the square root of trace(C Theta C*) for the error system
+    ``series_sub(g, r)``, the square root of the frequency integral of
+    ||G(jw) - R(jw)||_F^2 scaled as in the module docstring; reduced models
+    that picked up antistable modes are measured through the
+    stable/antistable split of :func:`controllability_gramian`.  Theta is
+    assembled blockwise as [[Theta_g, X], [X*, Theta_r]] instead of by a
+    Lyapunov solve at order n + r: Theta_g and the decoupled Schur split of
+    g are computed once per parent and kept while g is alive, and each call
+    solves triangular Sylvester equations that pair the small split of r
+    with them (Bartels and Stewart, 1972), at O(n^2 r) cost.  Only parts of
+    equal stability are coupled, because the stable-antistable cross terms
+    of the frequency integral vanish.  Each block solve must leave a
+    residual below 1e-8 times ||B B*||_F of the error system.
+
+    A value swamped by rounding error (a badly scaled realization of r)
+    raises, as described in :func:`h2_norm_sq`; the decoupled diagonal
+    blocks of the error system are those of g and of r, so the rounding
+    error is judged against their squared norms rather than against the
+    (possibly tiny) error.
 
     Parameters
     ----------
@@ -462,12 +587,41 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
         If the error system has an imaginary-axis pole (the norm is
         infinite).
     IllConditionedLyapunov
-        If a Gramian solve fails its residual check, or rounding error
-        swamps the value.
+        If a Gramian or block solve fails its residual check, or rounding
+        error swamps the value.
     """
     err = series_sub(g, r)
     if np.any(err.D != 0):
         raise NonzeroFeedthrough(
             "the H2 error is infinite when the feedthroughs of g and r differ"
         )
-    return ErrorEstimate(math.sqrt(h2_norm_sq(err)), False)
+    ctx = _parent_context(g)
+    theta_g = ctx.gramian(g).theta
+    r.assert_no_imaginary_poles()
+    output = "real" if err.is_real else "complex"
+    gs, rs = ctx.split(g, output), _schur_split(r, output)
+
+    # ||B B*||_F of the error system, from the q x q Gram matrix.
+    bbh_norm = np.linalg.norm(g.B.conj().T @ g.B + r.B.conj().T @ r.B, "fro")
+    tol = LYAPUNOV_RESIDUAL_RTOL * max(bbh_norm, np.finfo(float).tiny)
+
+    def solve(T, S, lhs, rhs, sign):
+        # The stable parts solve T M + M S* + lhs rhs* = 0, the antistable
+        # parts the sign-flipped equation.
+        return _triangular_sylvester(T, S, sign * (lhs @ rhs.conj().T), tol)
+
+    # In the decoupled coordinates both Gramian blocks are block diagonal;
+    # V_g and V_r take them back to the states of g and r.
+    P_r = sla.block_diag(
+        solve(rs.T11, rs.T11, rs.B1, rs.B1, -1.0),
+        solve(rs.T22, rs.T22, rs.B2, rs.B2, 1.0),
+    )
+    theta_r = rs.to_state(rs.to_state(P_r).conj().T)
+    theta_r = 0.5 * (theta_r + theta_r.conj().T)
+    M = sla.block_diag(
+        solve(gs.T11, rs.T11, gs.B1, rs.B1, -1.0),
+        solve(gs.T22, rs.T22, gs.B2, rs.B2, 1.0),
+    )
+    X = gs.to_state(rs.to_state(M.conj().T).conj().T)
+    theta = np.block([[theta_g, X], [X.conj().T, theta_r]])
+    return ErrorEstimate(math.sqrt(max(_checked_trace(err, theta), 0.0)), False)

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, TanmorError, UnstableSystem
-from .gramians import controllability_gramian, error_norm, psd_factor
+from .gramians import _parent_context, controllability_gramian, error_norm
 from .interpolation import (
     InterpData,
     append_point,
@@ -29,7 +29,7 @@ from .interpolation import (
     realize_r,
     truncated_point,
 )
-from .lti import FreqResponse, StateSpace, eval_tf, is_strictly_stable
+from .lti import StateSpace, is_strictly_stable
 from .selection import (
     SelectionStrategy,
     SplitMix64,
@@ -78,9 +78,11 @@ class ReducerConfig:
     max_iters : int
         Hard iteration bound.
     track_error : bool
-        Measure the error norm each iteration.  Each measurement costs a
-        Lyapunov solve at the parent's order, so switch this off for
-        timing-sensitive runs and read gamma instead.
+        Measure the error norm each iteration.  The parent's Gramian and
+        Schur form are computed once per run; each measurement then costs
+        triangular Sylvester solves against them (O(n^2 r) for parent order
+        n and model order r) and an eigendecomposition of the (n + r)
+        error Gramian for the rounding check.
     """
 
     strategy: SelectionStrategy
@@ -174,9 +176,10 @@ def _propose(sys, model, cfg: ReducerConfig, rng: SplitMix64 | None) -> float:
 def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
     """Run the greedy interpolation loop on ``sys``.
 
-    The parent Gramian is computed once up front; each iteration then adds
-    one frequency (or grows an existing one), re-solves the weights, and
-    realizes the next model.  Any library or LAPACK error raised
+    The parent Gramian is computed once up front and kept in the
+    per-parent cache that :func:`tanmor.error_norm` also reads; each
+    iteration then adds one frequency (or grows an existing one), re-solves
+    the weights, and realizes the next model.  Any library or LAPACK error raised
     mid-iteration (rank exhaustion, a singular resolvent at a proposed
     frequency, a peak search that does not converge, a failed
     factorization, ...) halts the loop and the trace
@@ -188,7 +191,7 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
     InvariantViolation
         If the parent has imaginary-axis poles (no Gramian exists).
     """
-    gram = controllability_gramian(sys)
+    gram = _parent_context(sys).gramian(sys)
     data = InterpData.empty(sys)
     base = solve_weights(sys, gram, data)
     gamma0 = base.gamma
@@ -228,8 +231,7 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
                 reason = "max-order"
                 break
             r_hi = min(ref.r_max, ref.r_min + allowed - 1)
-            resp = FreqResponse(ref.omega, eval_tf(sys, 1j * ref.omega))
-            pt = truncated_point(resp, ref.r_min, r_hi)
+            pt = truncated_point(ref.response, ref.r_min, r_hi)
             if ref.merged_index is None:
                 data = append_point(data, sys, pt)
             else:
@@ -284,10 +286,8 @@ def _balancing_svd(sys: StateSpace):
         sys.D.conj().T,
         scalar_field=sys.scalar_field,
     )
-    P = controllability_gramian(sys).theta
-    Q = controllability_gramian(dual).theta
-    Lp = psd_factor(P)
-    Lq = psd_factor(Q)
+    Lp = _parent_context(sys).gramian(sys).factor
+    Lq = controllability_gramian(dual).factor
     U, s, Vh = np.linalg.svd(Lq.conj().T @ Lp)
     return Lp, Lq, U, s, Vh
 

@@ -20,15 +20,14 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-import weakref
 from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import EmptyGrid, RankExhausted
-from .gramians import _peak_search, _pole_candidates, _sigma_max_batch
+from .gramians import _parent_context, _peak_search, _pole_candidates, _sigma_max_batch
 from .interpolation import InterpPoint, RANK_FLOOR_RTOL
-from .lti import StateSpace, eval_tf, freq_sweep, series_sub
+from .lti import FreqResponse, StateSpace, eval_tf, freq_sweep, series_sub
 
 __all__ = [
     "SplitMix64",
@@ -152,13 +151,15 @@ class Refinement:
     """Outcome of frequency/rank refinement.
 
     ``merged_index`` names the existing point whose rank grows; it is
-    present exactly when ``r_min > 1``.
+    present exactly when ``r_min > 1``.  ``response`` is the parent's
+    response at ``omega``, as :func:`refine` evaluated it.
     """
 
     omega: float
     r_min: int
     r_max: int
     merged_index: int | None = None
+    response: FreqResponse | None = dataclasses.field(default=None, repr=False)
 
 
 def _pointwise_error(gs: Sequence[np.ndarray], r: StateSpace, omegas) -> np.ndarray:
@@ -169,40 +170,15 @@ def _pointwise_error(gs: Sequence[np.ndarray], r: StateSpace, omegas) -> np.ndar
     )
 
 
-class _ParentResponses:
-    """Poles of a parent and its responses, memoized by frequency.
+def _parent_at(g: StateSpace, omegas) -> list[np.ndarray]:
+    """G(j*w) for each w, evaluating only frequencies not seen before.
 
-    Holds no reference to the parent itself, so the weak-keyed cache below
-    lets a parent (and its Hessenberg factors) go once callers drop it.
-    The poles are computed on first use: the discrete rule never needs them.
+    The memo lives in the per-parent context of :mod:`tanmor.gramians`.
     """
-
-    def __init__(self):
-        self._poles: np.ndarray | None = None
-        self.values: dict[float, np.ndarray] = {}
-
-    def poles(self, g: StateSpace) -> np.ndarray:
-        if self._poles is None:
-            self._poles = g.poles()
-        return self._poles
-
-    def at(self, g: StateSpace, omegas) -> list[np.ndarray]:
-        """G(j*w) for each w, evaluating only frequencies not seen before."""
-        for resp in freq_sweep(g, [w for w in omegas if w not in self.values]):
-            self.values[resp.omega] = resp.value
-        return [self.values[w] for w in omegas]
-
-
-_PARENT_RESPONSES: "weakref.WeakKeyDictionary[StateSpace, _ParentResponses]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _parent_responses(g: StateSpace) -> _ParentResponses:
-    parent = _PARENT_RESPONSES.get(g)
-    if parent is None:
-        parent = _PARENT_RESPONSES[g] = _ParentResponses()
-    return parent
+    memo = _parent_context(g).responses
+    for resp in freq_sweep(g, [w for w in omegas if w not in memo]):
+        memo[resp.omega] = resp.value
+    return [memo[w] for w in omegas]
 
 
 def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
@@ -211,10 +187,10 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
     Runs the Bruinsma-Steinbuch search of :func:`tanmor.peak_gain` on the
     error G - R, with every candidate evaluated as sigma_max(G(jw) - R(jw)).
     The poles of g and a memo w -> G(jw) (filled by :func:`freq_sweep`) are
-    kept once per parent, in a cache that does not keep g alive, so each
-    call evaluates R at every candidate but G only at frequencies not seen
-    before: the candidates from the poles of r and the Hamiltonian
-    midpoints.  The Hamiltonian test on the stacked error system
+    kept in the per-parent context of :mod:`tanmor.gramians`, which does
+    not keep g alive, so each call evaluates R at every candidate but G
+    only at frequencies not seen before: the candidates from the poles of r
+    and the Hamiltonian midpoints.  The Hamiltonian test on the stacked error system
     ``series_sub(g, r)`` still certifies the result, as in
     :func:`tanmor.peak_gain`.
 
@@ -228,12 +204,11 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
     PeakSearchNotConverged
         If the search runs out of Hamiltonian rounds.
     """
-    parent = _parent_responses(g)
     err = series_sub(g, r)
-    poles = np.concatenate([parent.poles(g), r.poles()])
+    poles = np.concatenate([_parent_context(g).poles(g), r.poles()])
 
     def sigma_max(omegas):
-        gs = parent.at(g, omegas)
+        gs = _parent_at(g, omegas)
         return _sigma_max_batch([a - eval_tf(r, 1j * w) for a, w in zip(gs, omegas)])
 
     pg = _peak_search(err, _pole_candidates(poles, err.is_real), sigma_max, rtol)
@@ -249,9 +224,9 @@ def select_discrete(g: StateSpace, r: StateSpace, grid) -> float:
     """Grid frequency with the largest pointwise spectral error.
 
     Ties resolve toward the smallest frequency.  The parent's responses on
-    the grid come from the same per-parent memo as :func:`select_max_error`,
-    so over a run G is evaluated once per grid point and each call
-    evaluates only R.
+    the grid come from the same memo in the per-parent context as
+    :func:`select_max_error`, so over a run G is evaluated once per grid
+    point and each call evaluates only R.
 
     Raises
     ------
@@ -261,7 +236,7 @@ def select_discrete(g: StateSpace, r: StateSpace, grid) -> float:
     omegas = np.unique(np.asarray([float(w) for w in grid], dtype=float))
     if omegas.size == 0:
         raise EmptyGrid("discrete selection needs a nonempty grid")
-    errs = _pointwise_error(_parent_responses(g).at(g, omegas), r, omegas)
+    errs = _pointwise_error(_parent_at(g, omegas), r, omegas)
     return float(omegas[int(np.argmax(errs))])
 
 
@@ -314,7 +289,8 @@ def refine(
     Parameters
     ----------
     g : StateSpace
-        Full model, evaluated once at the (possibly merged) frequency.
+        Full model, evaluated once at the (possibly merged) frequency; the
+        value is returned as ``Refinement.response``.
     points : sequence of InterpPoint
         Existing samples.
     omega : float
@@ -366,4 +342,4 @@ def refine(
     r_max = r_min
     while r_max < num_rank and sv[r_max] >= rho * sigma_ref:
         r_max += 1
-    return Refinement(target, r_min, r_max, merged_index)
+    return Refinement(target, r_min, r_max, merged_index, FreqResponse(target, value))

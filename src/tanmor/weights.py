@@ -28,7 +28,7 @@ import dataclasses
 import numpy as np
 
 from .errors import DimensionMismatch, GramianRankCollapse
-from .gramians import GramianResult, psd_factor
+from .gramians import GramianResult
 from .interpolation import InterpData
 from .lti import StateSpace
 
@@ -71,7 +71,8 @@ def solve_weights(
     For empty data the optimum is the empty p x 0 matrix and gamma is the
     baseline trace(C Theta C*), the squared H2 norm of the strictly proper
     part of the parent.  Otherwise W solves the least-squares problem
-    ``min ||C L - W (Cs L)||_F``, satisfying the stationarity condition
+    ``min ||C L - W (Cs L)||_F`` (L is ``theta.factor``, computed once per
+    Gramian), satisfying the stationarity condition
     W (Cs Theta Cs*) = C Theta Cs*, and gamma is the squared residual,
     which equals trace([I W] X [I; W*]).
 
@@ -88,7 +89,7 @@ def solve_weights(
         )
     dtype = np.float64 if sys.is_real else np.complex128
     r = data.total_order
-    L = psd_factor(theta.theta)
+    L = theta.factor
     CL = sys.C @ L
     if r == 0:
         gamma = float(np.linalg.norm(CL, "fro") ** 2)

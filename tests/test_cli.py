@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tanmor.cli
+import tanmor.gramians
 import tanmor.reduction
 
 from tanmor import StateSpace
@@ -302,6 +303,28 @@ class TestOrderSweep:
         with open(str(out) + ".compare.csv", newline="") as fh:
             compare = list(csv.reader(fh))[1:]
         assert compare[-1][1:3] == [trace_rows[-1][4], trace_rows[-1][6]]
+
+    def test_orders_compute_the_parent_gramian_once(
+        self, plant, tmp_path, capsys, monkeypatch
+    ):
+        # One Gramian of the parent serves the greedy run, its error norms
+        # and the balanced baseline; the other is the observability Gramian.
+        path, sys = plant
+        solved = []
+        inner = tanmor.gramians.controllability_gramian
+
+        def counting(s):
+            solved.append(s.A)
+            return inner(s)
+
+        for owner in (tanmor.gramians, tanmor.reduction):
+            monkeypatch.setattr(owner, "controllability_gramian", counting)
+        args = reduce_args(path, tmp_path / "run", "--orders", "2,4", "--baseline", "balanced")
+        assert run_cli(args) == 0
+        capsys.readouterr()
+        parent = [A for A in solved if A.shape == sys.A.shape and np.allclose(A, sys.A)]
+        assert len(parent) == 1
+        assert len(solved) == 2
 
     def test_sweep_against_no_baseline(self, plant, tmp_path, capsys):
         path, _ = plant

@@ -11,15 +11,20 @@ from hypothesis import strategies as st
 from tanmor import (
     InvariantViolation,
     NonzeroFeedthrough,
+    ReducerConfig,
+    SelectionStrategy,
     StateSpace,
+    balanced_truncation,
     controllability_gramian,
     error_norm,
     h2_norm_sq,
     peak_gain,
     psd_factor,
+    reduce,
     series_sub,
 )
 
+from benchmarks import flex_structure_model
 from helpers import grid_peak, h2_sq_quadrature, random_mixed, random_stable
 
 
@@ -226,3 +231,63 @@ class TestErrorNorm:
         est = error_norm(g, r)
         want = h2_sq_quadrature(series_sub(g, r))
         npt.assert_allclose(est.value**2, want, rtol=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex"]),
+        n=st.integers(1, 8),
+        n_anti=st.integers(0, 3),
+        r_kind=st.sampled_from(["empty", "stable", "mixed"]),
+        n_r=st.integers(1, 3),
+        feedthrough=st.booleans(),
+        p=st.integers(1, 2),
+        q=st.integers(1, 2),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_stacked_h2_norm(
+        self, field, n, n_anti, r_kind, n_r, feedthrough, p, q, seed
+    ):
+        # The blockwise norm against the Lyapunov solve on the stacked
+        # error system.  On mixed parents both carry rounding error of the
+        # size the rounding guard allows: 1e-6 of the value or of the
+        # squared norms of the decoupled blocks (here g and r).
+        if n_anti:
+            g = random_mixed(max(n - n_anti, 1), n_anti, p, q, seed, field=field)
+        else:
+            g = random_stable(n, p, q, seed, field=field)
+        rng = np.random.default_rng(seed + 1)
+        D = rng.standard_normal((p, q)) if feedthrough else np.zeros((p, q))
+        if r_kind == "empty":
+            r = StateSpace.constant(D, scalar_field=field)
+        else:
+            r = (
+                random_stable(n_r, p, q, seed + 2, field=field)
+                if r_kind == "stable"
+                else random_mixed(n_r, 1, p, q, seed + 2, field=field)
+            )
+            r = StateSpace(r.A, r.B, r.C, D, scalar_field=field)
+        g = StateSpace(g.A, g.B, g.C, D, scalar_field=field)
+        got = error_norm(g, r).value ** 2
+        want = h2_norm_sq(series_sub(g, r))
+        if n_anti:
+            blocks = h2_norm_sq(g, strict_proper=True) + h2_norm_sq(r, strict_proper=True)
+            assert abs(got - want) <= 1e-6 * max(want, blocks)
+        else:
+            npt.assert_allclose(got, want, rtol=1e-10)
+
+
+def test_error_norm_on_benchmark_matches_stacked_h2_norm():
+    # Every row of a max-error run on the 270-state benchmark, and the
+    # balanced-truncation baselines, against the stacked Lyapunov solve.
+    g = flex_structure_model()
+    cfg = ReducerConfig(
+        SelectionStrategy.max_error(), max_order=24, rho=0.999, gamma_rel_tol=1e-300
+    )
+    trace = reduce(g, cfg)
+    assert trace.model.n == 24
+    baselines = [balanced_truncation(g, k) for k in (8, 16, 24)]
+    got = [row.error_norm**2 for row in trace.rows]
+    got += [error_norm(g, bt).value ** 2 for bt in baselines]
+    models = [row.model for row in trace.rows] + baselines
+    want = [h2_norm_sq(series_sub(g, m)) for m in models]
+    npt.assert_allclose(got, want, rtol=1e-10)

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 import tanmor.gramians
 import tanmor.reduction
@@ -29,6 +30,7 @@ from tanmor import (
     h2_norm_sq,
     hankel_values,
     reduce,
+    refine,
     select_max_error,
     series_sub,
     solve_weights,
@@ -235,12 +237,14 @@ class TestReduce:
         )
 
     def test_max_error_cache_releases_parent(self):
-        # The per-parent response cache must not keep the parent (and its
-        # Hessenberg factors) alive after the caller drops it.
+        # The per-parent context (Gramian and its factor, poles, responses,
+        # Schur split) must not keep the parent (and its Hessenberg
+        # factors) alive after the caller drops it.
         sys = random_stable(20, 2, 2, seed=43)
         ref = weakref.ref(sys)
-        trace = reduce(sys, max_error_cfg(6))
-        assert trace.rows
+        trace = reduce(sys, max_error_cfg(6, track_error=True))
+        assert trace.rows and all(np.isfinite(row.error_norm) for row in trace.rows)
+        sweep_orders(sys, trace, [2, 4])
         del sys
         gc.collect()
         assert ref() is None
@@ -288,13 +292,64 @@ class TestReduce:
         assert max(seen.values()) == 1
 
     def test_discrete_cache_releases_parent(self):
-        sys = random_stable(20, 2, 2, seed=43)
-        ref = weakref.ref(sys)
-        trace = reduce(sys, ReducerConfig(SelectionStrategy.discrete(K=40), max_order=6))
-        assert trace.rows
-        del sys
-        gc.collect()
-        assert ref() is None
+        # Tracked discrete and random runs on a mixed parent, whose Gramian
+        # leaves its Schur split in the context.
+        for strategy in (
+            SelectionStrategy.discrete(K=40),
+            SelectionStrategy.random(K=40, seed=3),
+        ):
+            sys = random_mixed(16, 4, 2, 2, seed=43)
+            ref = weakref.ref(sys)
+            trace = reduce(sys, ReducerConfig(strategy, max_order=6, track_error=True))
+            assert trace.rows and all(np.isfinite(row.error_norm) for row in trace.rows)
+            del sys
+            gc.collect()
+            assert ref() is None
+
+    def test_tracked_run_solves_parent_gramian_and_schur_once(self, monkeypatch):
+        sys = random_mixed(30, 10, 2, 2, seed=45, field="complex")
+        gramian_orders, schur_orders = [], []
+        gramian, schur = tanmor.gramians.controllability_gramian, scipy.linalg.schur
+
+        def counting_gramian(s):
+            gramian_orders.append(s.n)
+            return gramian(s)
+
+        def counting_schur(a, *args, **kwargs):
+            schur_orders.append(a.shape[0])
+            return schur(a, *args, **kwargs)
+
+        for owner in (tanmor.gramians, tanmor.reduction):
+            monkeypatch.setattr(owner, "controllability_gramian", counting_gramian)
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        cfg = ReducerConfig(
+            SelectionStrategy.discrete(K=80), max_order=12, rho=0.999, gamma_rel_tol=1e-300
+        )
+        trace = reduce(sys, cfg)
+        assert len(trace.rows) >= 5
+        assert all(np.isfinite(row.error_norm) for row in trace.rows)
+        assert gramian_orders == [sys.n]
+        assert schur_orders.count(sys.n) == 1
+
+    def test_parent_evaluated_once_per_iteration(self, monkeypatch):
+        sys = random_stable(30, 2, 2, seed=46)
+        evaluations, refinements = [], []
+
+        def counting_eval(s, point):
+            if s is sys:
+                evaluations.append(point)
+            return eval_tf(s, point)
+
+        def counting_refine(*args, **kwargs):
+            refinements.append(1)
+            return refine(*args, **kwargs)
+
+        for owner in (tanmor.selection, tanmor.reduction):
+            monkeypatch.setattr(owner, "eval_tf", counting_eval, raising=False)
+        monkeypatch.setattr(tanmor.reduction, "refine", counting_refine)
+        trace = reduce(sys, ReducerConfig(SelectionStrategy.discrete(K=50), max_order=10))
+        assert len(trace.rows) >= 4
+        assert len(evaluations) == len(refinements)
 
     def test_unconverged_peak_search_halts_with_trace(self, monkeypatch):
         calls = []
