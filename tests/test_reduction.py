@@ -344,6 +344,8 @@ class TestReduce:
             refinements.append(1)
             return refine(*args, **kwargs)
 
+        # reduce takes the response from refine; a binding of eval_tf in
+        # the reduction module, should one come back, is counted too.
         for owner in (tanmor.selection, tanmor.reduction):
             monkeypatch.setattr(owner, "eval_tf", counting_eval, raising=False)
         monkeypatch.setattr(tanmor.reduction, "refine", counting_refine)
