@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import IllConditionedLyapunov, NonzeroFeedthrough, PeakSearchNotConverged
-from .lti import StateSpace, eval_tf, series_sub
+from .lti import StateSpace, _evaluator, eval_tf, series_sub
 
 __all__ = [
     "GramianResult",
@@ -157,7 +157,7 @@ def controllability_gramian(sys: StateSpace) -> GramianResult:
     bbh = B @ B.conj().T
     bbh_norm = np.linalg.norm(bbh, "fro")
 
-    lam = np.linalg.eigvals(A)
+    lam = sys.poles()
     if np.all(lam.real < 0):
         theta = sla.solve_continuous_lyapunov(A, -bbh)
         theta = 0.5 * (theta + theta.conj().T)
@@ -224,7 +224,10 @@ def _schur_split(sys: StateSpace, output: str) -> _SchurSplit:
     # Decouple: with state transform [[I, Y], [0, I]], the stable block
     # sees the input matrix B1 - Y B2.
     if T12.size:
-        Y = sla.solve_sylvester(T11, -T22, -T12)
+        # T11 and T22 are (quasi-)triangular already: trsyl solves T11 Y - Y T22 = -T12.
+        trsyl = sla.get_lapack_funcs("trsyl", (T11, T22, T12))
+        Y, scale, _ = trsyl(T11, T22, -T12, isgn=-1)
+        Y = Y / scale
         syl_defect = np.linalg.norm(T11 @ Y - Y @ T22 + T12, "fro")
         syl_scale = (
             np.linalg.norm(T11 @ Y, "fro")
@@ -265,28 +268,31 @@ def _separated_gramian(split: _SchurSplit, real: bool):
 class _ParentContext:
     """Parent-only quantities of one system, each computed at most once.
 
-    Holds the Gramian (with its PSD factor), the poles, a memo of responses
+    Holds the Gramian (with its PSD factor), a memo of responses
     w -> G(jw) that :mod:`tanmor.selection` fills, and the decoupled Schur
-    split in each form asked for.  It holds no reference to the system
-    itself, so the weak-keyed cache below lets a parent (and all of this)
-    go once callers drop it.
+    split in each form asked for.  The poles are those of the response
+    evaluator in :mod:`tanmor.lti`, so one eigendecomposition serves the
+    responses, the poles and the Gramian's stability test.  It holds no
+    reference to the system itself, so the weak-keyed cache below lets a
+    parent (and all of this) go once callers drop it.
     """
 
     def __init__(self):
         self._gramian: GramianResult | None = None
-        self._poles: np.ndarray | None = None
         self._splits: dict[str, _SchurSplit] = {}
         self.responses: dict[float, np.ndarray] = {}
 
     def gramian(self, g: StateSpace) -> GramianResult:
         if self._gramian is None:
+            self.poles(g)  # builds the evaluator, whose eigenvalues g.poles() reuses
             self._gramian = controllability_gramian(g)
         return self._gramian
 
     def poles(self, g: StateSpace) -> np.ndarray:
-        if self._poles is None:
-            self._poles = g.poles()
-        return self._poles
+        """Eigenvalues of A, from the response evaluator's factorization."""
+        if g.n == 0:
+            return g.poles()
+        return _evaluator(g).lam
 
     def split(self, g: StateSpace, output: str) -> _SchurSplit:
         """Schur split in ``output`` ("real" or "complex") form."""

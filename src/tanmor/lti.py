@@ -1,10 +1,11 @@
 """Dense state-space LTI systems and frequency-response evaluation.
 
 The central type is :class:`StateSpace`, an immutable (A, B, C, D)
-realization with an explicit real/complex scalar-field tag.  Frequency
-responses are computed by linear solves against the shifted matrix
-``sI - A``; a per-system Hessenberg factorization makes repeated sweeps
-cost O(n^2) per frequency instead of O(n^3).
+realization with an explicit real/complex scalar-field tag.  :func:`eval_tf`
+is a dense solve against ``sI - A``; sweeps and row solves go through a
+per-system evaluator built once, from the eigendecomposition of A (K
+frequencies in one O(K n p q) product) or, when its eigenvectors are ill
+conditioned, from the complex Schur form (O(n^2) per frequency).
 """
 
 from __future__ import annotations
@@ -32,9 +33,14 @@ __all__ = [
 #: systems, so loaders and norm routines reject them.
 IMAG_AXIS_RTOL = 1e-10
 
-#: Linear solves against sI - A refuse to proceed below this estimated
-#: reciprocal condition number.
+#: Linear solves against sI - A refuse below this estimated reciprocal
+#: condition number, the cached evaluator when min|s - lam| <= this * max|s - lam|.
 RESOLVENT_RCOND_MIN = 1e-14
+
+#: The cached evaluator works from the eigendecomposition A = V diag(lam) V^-1
+#: when cond(V) = ||V||_1 ||V^-1||_1 is at most this, since its rounding error
+#: grows with cond(V), and from the complex Schur form of A otherwise.
+MODAL_COND_MAX = 1e6
 
 
 def _as_matrix(name: str, value, dtype) -> np.ndarray:
@@ -63,7 +69,8 @@ class StateSpace:
     -----
     Instances compare by identity: two systems built from equal matrices
     are distinct objects.  This keeps the type safely hashable for the
-    internal factorization caches while the matrices stay mutable-free.
+    internal weak-keyed caches (response evaluator, per-parent context)
+    while the matrices stay mutable-free.
 
     Eigenvalues of ``A`` on the imaginary axis are *not* rejected here.
     Intermediate reduced models can be marginally stable by construction;
@@ -165,10 +172,14 @@ class StateSpace:
         return self.scalar_field == "real"
 
     def poles(self) -> np.ndarray:
-        """Eigenvalues of A (empty for constant systems)."""
+        """Eigenvalues of A (empty for constant systems).
+
+        Once the cached response evaluator exists, its eigenvalues are reused.
+        """
         if self.n == 0:
             return np.zeros(0, dtype=complex)
-        return np.linalg.eigvals(self.A)
+        ev = _EVALUATORS.get(self)
+        return np.linalg.eigvals(self.A) if ev is None else ev.lam.copy()
 
     def assert_no_imaginary_poles(self) -> None:
         """Raise InvariantViolation if any pole sits on the imaginary axis.
@@ -288,100 +299,114 @@ def eval_tf(sys: StateSpace, s: complex) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hessenberg-accelerated sweeps
+# per-system response evaluator
 # ---------------------------------------------------------------------------
 
 
-def _hessenberg_banded(H: np.ndarray) -> np.ndarray:
-    """Banded (gbtrf layout) storage of an upper-Hessenberg matrix.
+class _Evaluator:
+    """Factors of one system for repeated resolvent evaluations.
 
-    Rows kl..2kl+ku of the returned array hold the matrix diagonals with
-    ab[kl + ku + i - j, j] = H[i, j]; the top kl rows are gbtrf workspace.
-    """
-    n = H.shape[0]
-    kl, ku = 1, n - 1
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=H.dtype)
-    for i in range(n):
-        j = np.arange(max(0, i - kl), n)
-        ab[kl + ku + i - j, j] = H[i, max(0, i - kl):]
-    return ab
-
-
-class _HessenbergCache:
-    """Per-system Hessenberg factorization for fast resolvent solves.
-
-    With A = Q H Q* (H upper Hessenberg), each shifted solve reduces to a
-    banded factorization of sI - H, which costs O(n^2).  Row solves
-    X (sI - A)^{-1} reuse the same data through the identity
-    X (sI - A)^{-1} = [(sI - A*)^{-1} X*]*, where sI - A* is *lower*
-    Hessenberg; reversing both axes turns it upper Hessenberg again.
+    A = Q M Q^-1 with M = diag(lam) from the eigendecomposition when the
+    eigenvector matrix has cond(Q) = ||Q||_1 ||Q^-1||_1 <= MODAL_COND_MAX;
+    otherwise M = T and Q unitary from the complex Schur form.  With
+    Bt = Q^-1 B and Ct = C Q, G(s) = Ct (sI - M)^-1 Bt + D: one O(K n p q)
+    product for K frequencies, or one O(n^2) triangular solve each.
     """
 
     def __init__(self, sys: StateSpace):
-        self.n = sys.n
-        if self.n == 0:
-            return
-        H, Q = sla.hessenberg(sys.A, calc_q=True)
-        self.Q = Q
-        self.H_banded_neg = _hessenberg_banded(-H)
-        # Reversed-axes copy of -(H*) for the row-solve path.
-        Hct = H.conj().T
-        self.Hct_rev_banded_neg = _hessenberg_banded(-Hct[::-1, ::-1])
-        self.QB = Q.conj().T @ sys.B
+        lam, V = np.linalg.eig(sys.A)
+        try:
+            Vinv = np.linalg.inv(V)
+            cond = np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1)
+        except np.linalg.LinAlgError:  # V exactly singular: A is defective
+            cond = np.inf
+        if cond <= MODAL_COND_MAX:
+            self.T, self.Q, self.Qinv = None, V, Vinv
+        else:
+            self.T, self.Q = sla.schur(sys.A, output="complex")
+            self.Qinv = self.Q.conj().T
+            lam = np.diag(self.T)
+        self.lam = lam
+        self.Bt = self.Qinv @ sys.B
+        self.Ct = sys.C @ self.Q
+        self.D = sys.D
 
-    def _banded_solve(self, ab_neg: np.ndarray, s: complex, rhs: np.ndarray) -> np.ndarray:
-        n = self.n
-        kl, ku = 1, n - 1
-        # Fortran order lets gbtrf factor this private copy in place.
-        ab = np.array(ab_neg, dtype=np.complex128, order="F")
-        ab[kl + ku, :] += s
-        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
-        if info != 0:
-            raise SingularResolvent(f"sI - A exactly singular at s={s}")
-        diag = np.abs(lu[kl + ku, :])
-        dmax = diag.max()
-        if dmax == 0.0 or diag.min() / dmax < RESOLVENT_RCOND_MIN:
+    def _shifts(self, s: np.ndarray) -> np.ndarray:
+        """The (K, n) array s_k - lam, checked against RESOLVENT_RCOND_MIN."""
+        shift = s[:, None] - self.lam
+        dist = np.abs(shift)
+        bad = dist.min(axis=1) <= RESOLVENT_RCOND_MIN * dist.max(axis=1)
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
             raise SingularResolvent(
-                f"sI - A numerically singular at s={s} "
-                f"(pivot ratio {0.0 if dmax == 0.0 else diag.min() / dmax:.2e})"
+                f"sI - A numerically singular at s={s[k]} (|s - eig| ranges "
+                f"from {dist[k].min():.2e} to {dist[k].max():.2e})"
             )
-        x, info = gbtrs(lu, kl, ku, np.ascontiguousarray(rhs, dtype=np.complex128), piv)
-        if info != 0:
-            raise SingularResolvent(f"banded solve failed at s={s} (info={info})")
-        return x
+        return shift
 
-    def solve_columns(self, s: complex) -> np.ndarray:
-        """Return (sI - A)^{-1} B."""
-        y = self._banded_solve(self.H_banded_neg, s, self.QB)
-        return self.Q @ y
+    def responses(self, s: np.ndarray) -> np.ndarray:
+        """G(s_k) for each shift, stacked as a complex (K, p, q) array."""
+        shift = self._shifts(s)
+        if self.T is None:
+            return (self.Ct / shift[:, None, :]) @ self.Bt + self.D
+        eye = np.eye(self.lam.size)
+        X = [sla.solve_triangular(sk * eye - self.T, self.Bt) for sk in s]
+        return self.Ct @ np.array(X) + self.D
 
-    def solve_rows(self, s: complex, rows: np.ndarray) -> np.ndarray:
-        """Return rows @ (sI - A)^{-1} for an m x n row block."""
-        rhs = (rows @ self.Q).conj().T[::-1, :]
-        y = self._banded_solve(self.Hct_rev_banded_neg, np.conj(s), rhs)
-        return (self.Q @ y[::-1, :]).conj().T
+    def rows(self, s: complex, rows: np.ndarray) -> np.ndarray:
+        """rows @ (sI - A)^-1 for an m x n row block."""
+        shift = self._shifts(np.array([s]))[0]
+        Z = rows @ self.Q
+        if self.T is None:
+            Z = Z / shift
+        else:
+            M = s * np.eye(self.lam.size) - self.T
+            Z = sla.solve_triangular(M, Z.T, trans="T").T
+        return Z @ self.Qinv
 
 
-_HESS_CACHE: "weakref.WeakKeyDictionary[StateSpace, _HessenbergCache]" = (
+_EVALUATORS: "weakref.WeakKeyDictionary[StateSpace, _Evaluator]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _hessenberg_cache(sys: StateSpace) -> _HessenbergCache:
-    cache = _HESS_CACHE.get(sys)
-    if cache is None:
-        cache = _HessenbergCache(sys)
-        _HESS_CACHE[sys] = cache
-    return cache
+def _evaluator(sys: StateSpace) -> _Evaluator:
+    """The cached evaluator of ``sys`` (n >= 1), built on first use."""
+    ev = _EVALUATORS.get(sys)
+    if ev is None:
+        ev = _EVALUATORS[sys] = _Evaluator(sys)
+    return ev
+
+
+def _responses(sys: StateSpace, omegas) -> np.ndarray:
+    """G(j*w) for each w as a complex (K, p, q) stack, from the cached evaluator.
+
+    A real system at w = 0 takes the dense real solve of :func:`eval_tf`,
+    so that entry is exactly real.
+    """
+    omegas = np.asarray(omegas, dtype=float).reshape(-1)
+    out = np.empty((omegas.size, sys.p, sys.q), dtype=np.complex128)
+    if sys.n == 0:
+        out[:] = sys.D
+        return out
+    zero = (omegas == 0.0) & sys.is_real
+    if zero.any():
+        out[zero] = eval_tf(sys, 0.0)
+    if not zero.all():
+        out[~zero] = _evaluator(sys).responses(1j * omegas[~zero])
+    return out
 
 
 def freq_sweep(sys: StateSpace, omegas) -> list[FreqResponse]:
     """Evaluate G(j*omega) over a list of frequencies.
 
-    Equivalent to ``[eval_tf(sys, 1j * w) for w in omegas]`` but the
-    Hessenberg form of A is factored once per system (and cached), so each
-    frequency costs one banded solve.
+    Equivalent to ``[eval_tf(sys, 1j * w) for w in omegas]`` up to
+    rounding, but A is factored once per system (and cached while the
+    system lives): by its eigendecomposition, which evaluates all
+    frequencies in one product, or, when the eigenvector matrix has
+    condition above ``MODAL_COND_MAX``, by its complex Schur form, one
+    triangular solve per frequency.  A real system at omega = 0 gets the
+    dense real solve of :func:`eval_tf`.
 
     Parameters
     ----------
@@ -391,29 +416,34 @@ def freq_sweep(sys: StateSpace, omegas) -> list[FreqResponse]:
     Returns
     -------
     list of FreqResponse
+
+    Raises
+    ------
+    SingularResolvent
+        If some j*omega lies within 1e-14 * max_k |j*omega - lam_k| of an
+        eigenvalue lam of A.
     """
     omegas = [float(w) for w in omegas]
-    if not omegas:
-        return []
-    if sys.n == 0:
-        return [FreqResponse(w, eval_tf(sys, 1j * w)) for w in omegas]
-    cache = _hessenberg_cache(sys)
-    out = []
-    for w in omegas:
-        if sys.is_real and w == 0.0:
-            # Keep the zero-frequency response of a real system exactly real.
-            out.append(FreqResponse(0.0, eval_tf(sys, 0.0)))
-            continue
-        X = cache.solve_columns(1j * w)
-        out.append(FreqResponse(w, sys.C @ X + sys.D))
-    return out
+    values = _responses(sys, omegas)
+    return [
+        FreqResponse(w, v.real if sys.is_real and w == 0.0 else v)
+        for w, v in zip(omegas, values)
+    ]
 
 
 def resolvent_rows(sys: StateSpace, s: complex, rows: np.ndarray) -> np.ndarray:
     """Compute ``rows @ (s I - A)^{-1}`` through the cached factorization.
 
-    For a real system at ``s = 0`` the computation runs in real arithmetic
-    and the result is a real array.
+    That is ``rows V diag(1/(s - lam)) V^-1`` from the eigendecomposition
+    of A, or triangular solves on its complex Schur form, as chosen in
+    :func:`freq_sweep`.  For a real system at real ``s`` with real rows the
+    computation is a dense solve in real arithmetic and the result is a
+    real array.
+
+    Raises
+    ------
+    SingularResolvent
+        If ``s`` is numerically an eigenvalue of A.
     """
     rows = np.atleast_2d(rows)
     if rows.shape[1] != sys.n:
@@ -425,7 +455,7 @@ def resolvent_rows(sys: StateSpace, s: complex, rows: np.ndarray) -> np.ndarray:
     if sys.is_real and not np.iscomplexobj(rows) and complex(s).imag == 0.0:
         sol = _dense_resolvent_solve(sys.A.T, complex(s).real, rows.T)
         return sol.T
-    return _hessenberg_cache(sys).solve_rows(complex(s), rows)
+    return _evaluator(sys).rows(complex(s), rows)
 
 
 def series_sub(lhs: StateSpace, rhs: StateSpace) -> StateSpace:

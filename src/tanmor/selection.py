@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EmptyGrid, RankExhausted
 from .gramians import _parent_context, _peak_search, _pole_candidates, _sigma_max_batch
 from .interpolation import InterpPoint, RANK_FLOOR_RTOL
-from .lti import FreqResponse, StateSpace, eval_tf, freq_sweep, series_sub
+from .lti import FreqResponse, StateSpace, _responses, series_sub
 
 __all__ = [
     "SplitMix64",
@@ -152,7 +152,7 @@ class Refinement:
 
     ``merged_index`` names the existing point whose rank grows; it is
     present exactly when ``r_min > 1``.  ``response`` is the parent's
-    response at ``omega``, as :func:`refine` evaluated it.
+    response at ``omega``, as :func:`refine` read it from the per-parent memo.
     """
 
     omega: float
@@ -162,23 +162,21 @@ class Refinement:
     response: FreqResponse | None = dataclasses.field(default=None, repr=False)
 
 
-def _pointwise_error(gs: Sequence[np.ndarray], r: StateSpace, omegas) -> np.ndarray:
-    """sigma_max(G(jw) - R(jw)) at each w, given the parent's responses gs."""
-    rs = freq_sweep(r, omegas)
-    return np.array(
-        [np.linalg.svd(a - b.value, compute_uv=False)[0] for a, b in zip(gs, rs)]
-    )
+def _pointwise_error(gs: np.ndarray, r: StateSpace, omegas) -> np.ndarray:
+    """sigma_max(G(jw) - R(jw)) at each w, given the stacked parent responses gs."""
+    return _sigma_max_batch(gs - _responses(r, omegas))
 
 
-def _parent_at(g: StateSpace, omegas) -> list[np.ndarray]:
-    """G(j*w) for each w, evaluating only frequencies not seen before.
+def _parent_at(g: StateSpace, omegas) -> np.ndarray:
+    """G(j*w) for each w, stacked; evaluates only frequencies not seen before.
 
     The memo lives in the per-parent context of :mod:`tanmor.gramians`.
     """
     memo = _parent_context(g).responses
-    for resp in freq_sweep(g, [w for w in omegas if w not in memo]):
-        memo[resp.omega] = resp.value
-    return [memo[w] for w in omegas]
+    fresh = [float(w) for w in dict.fromkeys(omegas) if w not in memo]
+    if fresh:
+        memo.update(zip(fresh, _responses(g, fresh)))
+    return np.array([memo[w] for w in omegas]).reshape(-1, g.p, g.q)
 
 
 def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
@@ -186,13 +184,14 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
 
     Runs the Bruinsma-Steinbuch search of :func:`tanmor.peak_gain` on the
     error G - R, with every candidate evaluated as sigma_max(G(jw) - R(jw)).
-    The poles of g and a memo w -> G(jw) (filled by :func:`freq_sweep`) are
-    kept in the per-parent context of :mod:`tanmor.gramians`, which does
-    not keep g alive, so each call evaluates R at every candidate but G
-    only at frequencies not seen before: the candidates from the poles of r
-    and the Hamiltonian midpoints.  The Hamiltonian test on the stacked error system
-    ``series_sub(g, r)`` still certifies the result, as in
-    :func:`tanmor.peak_gain`.
+    The poles of g and a memo w -> G(jw) are kept in the per-parent context
+    of :mod:`tanmor.gramians`, which does not keep g alive, so each call
+    evaluates R at every candidate but G only at frequencies not seen
+    before: the candidates from the poles of r and the Hamiltonian
+    midpoints, all candidates of a round in one stacked product of the
+    cached evaluators of :mod:`tanmor.lti`.  The Hamiltonian test on the
+    stacked error system ``series_sub(g, r)`` still certifies the result,
+    as in :func:`tanmor.peak_gain`.
 
     A plateau-at-infinity result is mapped to 10 times the largest pole
     magnitude of the error system (there is no finite argmax to return);
@@ -208,8 +207,7 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
     poles = np.concatenate([_parent_context(g).poles(g), r.poles()])
 
     def sigma_max(omegas):
-        gs = _parent_at(g, omegas)
-        return _sigma_max_batch([a - eval_tf(r, 1j * w) for a, w in zip(gs, omegas)])
+        return _pointwise_error(_parent_at(g, omegas), r, omegas)
 
     pg = _peak_search(err, _pole_candidates(poles, err.is_real), sigma_max, rtol)
     w = pg.omega_star
@@ -263,10 +261,12 @@ def select_random(
     draws = np.array(
         [10.0 ** (lg_lo + rng.next_float() * (lg_hi - lg_lo)) for _ in range(cfg.K)]
     )
-    # Fresh draws every call: memoizing them would only grow the memo.
-    gs = [resp.value for resp in freq_sweep(g, draws)]
-    errs = _pointwise_error(gs, r, draws)
-    return float(draws[int(np.argmax(errs))])
+    # Fresh draws every call: memoizing them all would only grow the memo,
+    # so only the winner is kept, for refine to read.
+    gs = _responses(g, draws)
+    best = int(np.argmax(_pointwise_error(gs, r, draws)))
+    _parent_context(g).responses[float(draws[best])] = gs[best].copy()
+    return float(draws[best])
 
 
 def refine(
@@ -289,8 +289,10 @@ def refine(
     Parameters
     ----------
     g : StateSpace
-        Full model, evaluated once at the (possibly merged) frequency; the
-        value is returned as ``Refinement.response``.
+        Full model.  Its response at the (possibly merged) frequency is
+        read from the per-parent memo that the selection rules fill (and
+        evaluated there only if missing); the value is returned as
+        ``Refinement.response``.
     points : sequence of InterpPoint
         Existing samples.
     omega : float
@@ -328,7 +330,10 @@ def refine(
             target = near.omega
             r_min = near.rank + 1
 
-    value = eval_tf(g, 1j * target)
+    value = _parent_at(g, [target])[0]
+    if g.is_real and target == 0.0:
+        # Exactly real (a dense real solve), as eval_tf returns it.
+        value = value.real
     sv = np.linalg.svd(value, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         raise RankExhausted(f"response at omega={target} is zero; nothing to sample")

@@ -1,22 +1,45 @@
 """State-space container, responses, and resolvent plumbing."""
 
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import tanmor.lti
 from tanmor import (
     DimensionMismatch,
     InvariantViolation,
+    ReducerConfig,
+    SelectionStrategy,
     SingularResolvent,
     StateSpace,
     eval_tf,
     freq_sweep,
     is_strictly_stable,
+    reduce,
     resolvent_rows,
     series_sub,
 )
 
-from helpers import naive_tf, random_stable
+from helpers import naive_tf, random_mixed, random_stable
+
+
+def modal_cond(sys):
+    """cond(V) of the evaluator's eigenvector matrix, asserting the modal path."""
+    ev = tanmor.lti._evaluator(sys)
+    assert ev.T is None, "expected the modal path"
+    return np.linalg.cond(ev.Q)
+
+
+def jordan_block(n, lam, p=2, q=2, seed=0):
+    """Complex system whose A is one n x n Jordan block (defective)."""
+    rng = np.random.default_rng(seed)
+    A = lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
+    B = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+    C = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+    return StateSpace(A.astype(complex), B, C, scalar_field="complex")
 
 
 class TestConstruction:
@@ -131,7 +154,7 @@ class TestEvalTf:
 class TestFreqSweep:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_agrees_with_eval_tf(self, field):
-        """The cached Hessenberg path must reproduce the dense solve."""
+        """The cached evaluator must reproduce the dense solve."""
         sys = random_stable(9, 2, 3, seed=5, field=field, feedthrough=True)
         omegas = np.geomspace(1e-2, 1e2, 25)
         if field == "complex":
@@ -155,6 +178,101 @@ class TestFreqSweep:
         b = freq_sweep(sys, [0.5, 2.0])
         for ra, rb in zip(a, b):
             npt.assert_array_equal(ra.value, rb.value)
+
+
+class TestEvaluator:
+    """The cached per-system evaluator behind freq_sweep and resolvent_rows."""
+
+    # Modal rounding error grows with cond(V): the largest
+    # ||G_modal - G_dense||_F / (cond(V) ||G_dense||_F) seen on these
+    # parents is 1.9e-15.
+    MODAL_RTOL = 1e-13
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda s: random_stable(12, 2, 3, seed=s, feedthrough=True),
+            lambda s: random_stable(12, 2, 3, seed=s, field="complex", feedthrough=True),
+            lambda s: random_mixed(8, 4, 2, 3, seed=s),
+            lambda s: random_mixed(8, 4, 2, 3, seed=s, field="complex"),
+        ],
+        ids=["real", "complex", "mixed-real", "mixed-complex"],
+    )
+    def test_modal_matches_dense_within_cond_scaled_bound(self, make):
+        omegas = np.concatenate([np.geomspace(1e-2, 1e2, 30), -np.geomspace(1e-2, 1e2, 5)])
+        for seed in range(5):
+            sys = make(seed)
+            bound = self.MODAL_RTOL * modal_cond(sys)
+            for resp in freq_sweep(sys, omegas):
+                want = eval_tf(sys, 1j * resp.omega)
+                gap = np.linalg.norm(resp.value - want) / np.linalg.norm(want)
+                assert gap <= bound, f"seed {seed}, omega {resp.omega}: {gap:.2e}"
+
+    def test_poles_are_the_eigenvalues(self):
+        sys = random_mixed(8, 4, 2, 3, seed=3)
+        lam = tanmor.lti._evaluator(sys).lam
+        npt.assert_allclose(
+            np.sort_complex(lam), np.sort_complex(np.linalg.eigvals(sys.A)), rtol=1e-12
+        )
+        # Once the evaluator exists, poles() hands out a copy of its values.
+        poles = sys.poles()
+        npt.assert_array_equal(poles, lam)
+        poles[0] = 0.0
+        assert lam[0] != 0.0
+
+    @pytest.mark.parametrize(
+        "n, rotate",
+        [(5, False), (5, True), (25, False)],
+        # At n = 25 the computed eigenvector matrix is exactly singular.
+        ids=["triangular", "rotated", "singular-eigenvectors"],
+    )
+    def test_jordan_block_takes_schur_path(self, n, rotate):
+        sys = jordan_block(n, -0.7 + 0.4j)
+        if rotate:
+            U = np.linalg.qr(
+                np.random.default_rng(1).standard_normal((n, n)) + 0j
+            )[0]
+            sys = StateSpace(U @ sys.A @ U.conj().T, U @ sys.B, sys.C @ U.conj().T)
+        assert tanmor.lti._evaluator(sys).T is not None
+        for resp in freq_sweep(sys, np.linspace(-3.0, 3.0, 13)):
+            npt.assert_allclose(
+                resp.value, eval_tf(sys, 1j * resp.omega), rtol=1e-10, atol=1e-12
+            )
+        rng = np.random.default_rng(2)
+        rows = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        for s in (0.9j, -0.2 + 1.3j):
+            want = rows @ np.linalg.inv(s * np.eye(n) - sys.A)
+            npt.assert_allclose(resolvent_rows(sys, s, rows), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("path", ["modal", "schur"])
+    def test_imaginary_axis_pole_raises(self, path):
+        if path == "modal":
+            # Real oscillator with poles +/- 1.5j.
+            sys = StateSpace([[0.0, 1.5], [-1.5, 0.0]], [[1.0], [0.5]], [[1.0, -1.0]])
+        else:
+            sys = jordan_block(4, 1.5j)
+        assert (tanmor.lti._evaluator(sys).T is None) == (path == "modal")
+        with pytest.raises(SingularResolvent):
+            freq_sweep(sys, [0.5, 1.5])
+        rows = np.ones((1, sys.n), dtype=complex)
+        with pytest.raises(SingularResolvent):
+            resolvent_rows(sys, 1.5j, rows)
+        # Away from the pole both work.
+        assert len(freq_sweep(sys, [0.5])) == 1
+        assert np.all(np.isfinite(resolvent_rows(sys, 0.5j, rows)))
+
+    def test_cache_releases_its_system(self):
+        # A random run evaluates the parent (and every reduced model) through
+        # the weak-keyed evaluator cache; it must not keep the parent alive.
+        sys = random_stable(20, 2, 2, seed=43)
+        ref = weakref.ref(sys)
+        strategy = SelectionStrategy.random(K=40, seed=3)
+        trace = reduce(sys, ReducerConfig(strategy, max_order=6, track_error=False))
+        assert trace.rows
+        assert sys in tanmor.lti._EVALUATORS
+        del sys
+        gc.collect()
+        assert ref() is None
 
 
 class TestResolventRows:

@@ -26,7 +26,6 @@ from tanmor import (
     balanced_truncation,
     error_norm,
     eval_tf,
-    freq_sweep,
     h2_norm_sq,
     hankel_values,
     reduce,
@@ -237,9 +236,10 @@ class TestReduce:
         )
 
     def test_max_error_cache_releases_parent(self):
-        # The per-parent context (Gramian and its factor, poles, responses,
-        # Schur split) must not keep the parent (and its Hessenberg
-        # factors) alive after the caller drops it.
+        # The per-parent context (Gramian and its factor, responses, Schur
+        # split) and the response evaluator (eigendecomposition or Schur
+        # factors, poles) must not keep the parent alive after the caller
+        # drops it.
         sys = random_stable(20, 2, 2, seed=43)
         ref = weakref.ref(sys)
         trace = reduce(sys, max_error_cfg(6, track_error=True))
@@ -278,13 +278,14 @@ class TestReduce:
         sys = random_stable(30, 2, 2, seed=46)
         seen = collections.Counter()
 
-        def counting_sweep(s, omegas):
+        def counting_responses(s, omegas):
             omegas = [float(w) for w in omegas]
             if s is sys:
                 seen.update(omegas)
-            return freq_sweep(s, omegas)
+            return responses(s, omegas)
 
-        monkeypatch.setattr(tanmor.selection, "freq_sweep", counting_sweep)
+        responses = tanmor.selection._responses
+        monkeypatch.setattr(tanmor.selection, "_responses", counting_responses)
         strategy = SelectionStrategy.discrete(K=50)
         trace = reduce(sys, ReducerConfig(strategy, max_order=10, rho=0.999))
         assert len(trace.rows) >= 4
@@ -331,27 +332,66 @@ class TestReduce:
         assert gramian_orders == [sys.n]
         assert schur_orders.count(sys.n) == 1
 
-    def test_parent_evaluated_once_per_iteration(self, monkeypatch):
-        sys = random_stable(30, 2, 2, seed=46)
-        evaluations, refinements = [], []
+    def test_tracked_run_factors_parent_spectrum_once(self, monkeypatch):
+        # The response evaluator's eigendecomposition also supplies the
+        # poles of the parent (Gramian stability test, max-error
+        # candidates): no separate eigvals of the parent in a run.
+        sys = random_mixed(30, 10, 2, 2, seed=45, field="complex")
+        eig_orders, eigvals_orders = [], []
+        eig, eigvals = np.linalg.eig, np.linalg.eigvals
 
-        def counting_eval(s, point):
+        def counting_eig(a):
+            eig_orders.append(a.shape[0])
+            return eig(a)
+
+        def counting_eigvals(a):
+            eigvals_orders.append(a.shape[0])
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        trace = reduce(sys, max_error_cfg(8, rho=0.999, gamma_rel_tol=1e-300))
+        assert len(trace.rows) >= 4
+        assert eig_orders.count(sys.n) == 1
+        assert sys.n not in eigvals_orders
+
+    def test_parent_evaluated_once_per_iteration(self, monkeypatch):
+        # Every parent response of a run comes from the selection module's
+        # binding of the cached evaluator, and no frequency is evaluated
+        # twice: refine reads the value that selection left in the memo.
+        responses = tanmor.selection._responses
+
+        def counting_responses(s, omegas):
+            omegas = [float(w) for w in omegas]
             if s is sys:
-                evaluations.append(point)
-            return eval_tf(s, point)
+                seen.update(omegas)
+            return responses(s, omegas)
+
+        def reduce_evaluates(*args, **kwargs):
+            raise AssertionError("reduce evaluated a response itself")
 
         def counting_refine(*args, **kwargs):
-            refinements.append(1)
-            return refine(*args, **kwargs)
+            ref = refine(*args, **kwargs)
+            refined.append(ref.omega)
+            return ref
 
-        # reduce takes the response from refine; a binding of eval_tf in
-        # the reduction module, should one come back, is counted too.
-        for owner in (tanmor.selection, tanmor.reduction):
-            monkeypatch.setattr(owner, "eval_tf", counting_eval, raising=False)
+        monkeypatch.setattr(tanmor.selection, "_responses", counting_responses)
+        # reduce takes the response from refine; a binding of an evaluator
+        # in the reduction module, should one come back, fails the test.
+        for name in ("eval_tf", "_responses"):
+            monkeypatch.setattr(tanmor.reduction, name, reduce_evaluates, raising=False)
         monkeypatch.setattr(tanmor.reduction, "refine", counting_refine)
-        trace = reduce(sys, ReducerConfig(SelectionStrategy.discrete(K=50), max_order=10))
-        assert len(trace.rows) >= 4
-        assert len(evaluations) == len(refinements)
+        for strategy in (
+            SelectionStrategy.discrete(K=50),
+            SelectionStrategy.random(K=50, seed=5),
+            SelectionStrategy.max_error(),
+        ):
+            sys = random_stable(30, 2, 2, seed=46)
+            seen, refined = collections.Counter(), []
+            trace = reduce(sys, ReducerConfig(strategy, max_order=10))
+            assert len(trace.rows) >= 4
+            assert max(seen.values()) == 1, strategy.kind
+            assert set(refined) <= set(seen), strategy.kind
 
     def test_unconverged_peak_search_halts_with_trace(self, monkeypatch):
         calls = []
