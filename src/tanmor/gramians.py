@@ -13,12 +13,13 @@ two-sided integral.  Every norm in this package uses the same scaling, so
 identities like gamma_0 = trace(C Theta C*) hold without stray constants.
 
 Systems with eigenvalues in both half-planes (no imaginary-axis poles)
-still have a well-defined frequency-domain Gramian; it is computed by a
-Schur-based stable/antistable separation, where the antistable block
-solves the sign-flipped Lyapunov equation.  The peak-gain routine follows
-the quadratically convergent scheme of Bruinsma and Steinbuch (1990),
-locating candidate frequencies from purely imaginary eigenvalues of a
-Hamiltonian matrix.
+still have a well-defined frequency-domain Gramian, where the antistable
+part solves the sign-flipped Lyapunov equation.  Every Gramian, stable or
+not, comes from one path: an ordered Schur form split into its stable and
+antistable parts, then one triangular Lyapunov solve per part.  The
+peak-gain routine follows the quadratically convergent scheme of Bruinsma
+and Steinbuch (1990), locating candidate frequencies from purely imaginary
+eigenvalues of a Hamiltonian matrix.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ class GramianResult:
     theta : numpy.ndarray
         Hermitian positive-semidefinite n x n Gramian.
     residual : float
-        Frobenius norm of the defect of the equation(s) actually solved.
-        For stable systems this is ||A Theta + Theta A* + B B*||_F; for
-        systems needing stable/antistable separation it is the largest
-        defect among the per-part Lyapunov solves.
+        Frobenius norm of the defect of the equations actually solved: the
+        larger of the stable and antistable block defects in the decoupled
+        Schur coordinates (see :func:`controllability_gramian`).  For a
+        stable system that is ||T P + P T* + Q* B B* Q||_F with A = Q T Q*.
     """
 
     theta: np.ndarray
@@ -123,62 +124,38 @@ def psd_factor(theta: np.ndarray) -> np.ndarray:
     return V * np.sqrt(lam)
 
 
-def _lyapunov_defect(A, X, rhs_sign_bbh):
-    return np.linalg.norm(A @ X + X @ A.conj().T + rhs_sign_bbh, "fro")
-
-
 def controllability_gramian(sys: StateSpace) -> GramianResult:
     """Compute the controllability Gramian of ``sys``.
 
-    For stable A this solves A Theta + Theta A* + B B* = 0 with a dense
-    Bartels-Stewart solver.  When A has eigenvalues in both half-planes,
-    the dynamics are decoupled by an ordered Schur form and a Sylvester
-    solve; the stable block keeps its usual Gramian while the antistable
-    block solves the sign-flipped equation, which is what the two-sided
-    frequency integral of the resolvent demands.  When ``sys`` is a parent
-    whose per-parent context exists (it does during :func:`tanmor.reduce`
-    and after :func:`error_norm` against it), that decoupled Schur form is
-    kept there, so error norms against ``sys`` reuse it.
+    Every Gramian takes one path (Bartels and Stewart, 1972).  The ordered
+    Schur form A = Q T Q* puts the poles in the open left half-plane first;
+    a triangular Sylvester solve decouples them from the rest, so that
+    A = V diag(T11, T22) V^-1 with V = Q S.  In those coordinates the
+    stable block solves T11 P_s + P_s T11* = -F11 and the antistable block
+    the sign-flipped equation T22 P_a + P_a T22* = F22, which is what the
+    two-sided frequency integral of the resolvent demands; F is B B* taken
+    to the decoupled coordinates.  Theta = V diag(P_s, P_a) V*.  For a
+    stable (or antistable) A the coupling is empty and this is the classic
+    single Lyapunov solve.  When ``sys`` is a parent whose per-parent
+    context exists (it does during :func:`tanmor.reduce` and after
+    :func:`error_norm` against it), the split is kept there, so the
+    Gramian and every error norm against ``sys`` share one Schur form.
 
     Raises
     ------
     InvariantViolation
         If A has an eigenvalue on the imaginary axis (no Gramian exists).
     IllConditionedLyapunov
-        If any solve leaves a relative residual above 1e-8.
+        If the coupling solve or either block solve leaves a relative
+        residual above its bound (1e-10 and 1e-8 respectively).
     """
     sys.assert_no_imaginary_poles()
-    n = sys.n
-    dtype = np.float64 if sys.is_real else np.complex128
-    if n == 0:
-        return GramianResult(np.zeros((0, 0), dtype=dtype), 0.0)
-
-    A, B = sys.A, sys.B
-    bbh = B @ B.conj().T
-    bbh_norm = np.linalg.norm(bbh, "fro")
-
-    lam = sys.poles()
-    if np.all(lam.real < 0):
-        theta = sla.solve_continuous_lyapunov(A, -bbh)
-        theta = 0.5 * (theta + theta.conj().T)
-        residual = _lyapunov_defect(A, theta, bbh)
-    elif np.all(lam.real > 0):
-        theta = sla.solve_continuous_lyapunov(A, bbh)
-        theta = 0.5 * (theta + theta.conj().T)
-        residual = _lyapunov_defect(A, theta, -bbh)
-    else:
-        output = "real" if sys.is_real else "complex"
-        ctx = _PARENTS.get(sys)
-        split = _schur_split(sys, output) if ctx is None else ctx.split(sys, output)
-        theta, residual = _separated_gramian(split, sys.is_real)
-
-    if residual > LYAPUNOV_RESIDUAL_RTOL * max(bbh_norm, np.finfo(float).tiny):
-        raise IllConditionedLyapunov(
-            f"Lyapunov residual {residual:.3e} exceeds "
-            f"{LYAPUNOV_RESIDUAL_RTOL:g} * ||BB*||_F = "
-            f"{LYAPUNOV_RESIDUAL_RTOL * bbh_norm:.3e}"
-        )
-    return GramianResult(theta, float(residual))
+    output = "real" if sys.is_real else "complex"
+    ctx = _PARENTS.get(sys)
+    split = _schur_split(sys, output) if ctx is None else ctx.split(sys, output)
+    bbh = sys.B @ sys.B.conj().T
+    tol = LYAPUNOV_RESIDUAL_RTOL * max(np.linalg.norm(bbh, "fro"), np.finfo(float).tiny)
+    return GramianResult(*_split_gramian(split, bbh, tol))
 
 
 class _SchurSplit(NamedTuple):
@@ -245,24 +222,50 @@ def _schur_split(sys: StateSpace, output: str) -> _SchurSplit:
     return _SchurSplit(k, Q, Y, T11, T22, Bt[:k] - Y @ Bt[k:], Bt[k:])
 
 
-def _separated_gramian(split: _SchurSplit, real: bool):
-    """Gramian of a system with poles in both open half-planes."""
-    k, Q, Y, B1, B2 = split.k, split.Q, split.Y, split.B1, split.B2
-    P_s = sla.solve_continuous_lyapunov(split.T11, -(B1 @ B1.conj().T))
-    P_a = sla.solve_continuous_lyapunov(split.T22, B2 @ B2.conj().T)
-    residual = max(
-        _lyapunov_defect(split.T11, P_s, B1 @ B1.conj().T),
-        _lyapunov_defect(split.T22, P_a, -(B2 @ B2.conj().T)),
-    )
+def _triangular_sylvester(T, S, rhs, tol: float) -> tuple[np.ndarray, float]:
+    """Solve T M + M S* = rhs for upper (quasi-)triangular T and S.
 
-    S = np.eye(Q.shape[0], dtype=Q.dtype)
-    S[:k, k:] = Y
-    inner = S @ sla.block_diag(P_s, P_a) @ S.conj().T
-    theta = Q @ inner @ Q.conj().T
-    theta = 0.5 * (theta + theta.conj().T)
-    if real:
-        theta = theta.real
-    return theta, float(residual)
+    Returns M and the Frobenius norm of its defect T M + M S* - rhs.
+
+    Raises
+    ------
+    IllConditionedLyapunov
+        If that defect exceeds ``tol``.
+    """
+    if rhs.size == 0:
+        return rhs, 0.0
+    trsyl = sla.get_lapack_funcs("trsyl", (T, S, rhs))
+    # info = 1 (close eigenvalues, perturbed solve) is left to the residual check.
+    M, scale, _ = trsyl(T, S, rhs, tranb="T" if trsyl.typecode == "d" else "C")
+    M = M / scale
+    defect = float(np.linalg.norm(T @ M + M @ S.conj().T - rhs, "fro"))
+    if not defect <= tol:
+        raise IllConditionedLyapunov(
+            f"Sylvester residual {defect:.3e} of a Gramian block exceeds {tol:.3e}"
+        )
+    return M, defect
+
+
+def _split_gramian(split: _SchurSplit, bbh: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Gramian V diag(P_s, P_a) V* of a split system, and the larger block defect.
+
+    ``bbh`` is B B* of that system.  In the decoupled coordinates it is
+    S^-1 F S^-* with F = Q* B B* Q and S^-1 = [[I, -Y], [0, I]]; only its
+    diagonal blocks enter the block solves.  The order of the products
+    makes a stable (k = n) or antistable (k = 0) system, where Y is empty,
+    reproduce a plain Bartels-Stewart solve bit for bit.
+    """
+    k, Q, Y = split.k, split.Q, split.Y
+    F = Q.conj().T @ (bbh @ Q)
+    top = F[:k] - Y @ F[k:]
+    P_s, defect_s = _triangular_sylvester(
+        split.T11, split.T11, -(top[:, :k] - top[:, k:] @ Y.conj().T), tol
+    )
+    P_a, defect_a = _triangular_sylvester(split.T22, split.T22, F[k:, k:], tol)
+    YP = Y @ P_a
+    P = np.block([[P_s + YP @ Y.conj().T, YP], [YP.conj().T, P_a]])
+    theta = (Q @ P) @ Q.conj().T
+    return 0.5 * (theta + theta.conj().T), max(defect_s, defect_a)
 
 
 class _ParentContext:
@@ -270,9 +273,10 @@ class _ParentContext:
 
     Holds the Gramian (with its PSD factor), a memo of responses
     w -> G(jw) that :mod:`tanmor.selection` fills, and the decoupled Schur
-    split in each form asked for.  The poles are those of the response
+    split in each form asked for; the Gramian and every error norm against
+    the parent read the same split.  The poles are those of the response
     evaluator in :mod:`tanmor.lti`, so one eigendecomposition serves the
-    responses, the poles and the Gramian's stability test.  It holds no
+    responses, the poles and the Gramian's imaginary-axis check.  It holds no
     reference to the system itself, so the weak-keyed cache below lets a
     parent (and all of this) go once callers drop it.
     """
@@ -529,43 +533,22 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
 # ---------------------------------------------------------------------------
 
 
-def _triangular_sylvester(T, S, rhs, tol: float) -> np.ndarray:
-    """Solve T M + M S* = rhs for upper (quasi-)triangular T and S.
-
-    Raises
-    ------
-    IllConditionedLyapunov
-        If the residual exceeds ``tol``.
-    """
-    if rhs.size == 0:
-        return rhs
-    trsyl = sla.get_lapack_funcs("trsyl", (T, S, rhs))
-    # info = 1 (close eigenvalues, perturbed solve) is left to the residual check.
-    M, scale, _ = trsyl(T, S, rhs, tranb="T" if trsyl.typecode == "d" else "C")
-    M = M / scale
-    defect = np.linalg.norm(T @ M + M @ S.conj().T - rhs, "fro")
-    if not defect <= tol:
-        raise IllConditionedLyapunov(
-            f"Sylvester residual {defect:.3e} of an error-Gramian block exceeds {tol:.3e}"
-        )
-    return M
-
-
 def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     """H2-type norm of the error system g - r, computed exactly.
 
     The value is the square root of trace(C Theta C*) for the error system
     ``series_sub(g, r)``, the square root of the frequency integral of
-    ||G(jw) - R(jw)||_F^2 scaled as in the module docstring; reduced models
-    that picked up antistable modes are measured through the
-    stable/antistable split of :func:`controllability_gramian`.  Theta is
+    ||G(jw) - R(jw)||_F^2 scaled as in the module docstring.  Theta is
     assembled blockwise as [[Theta_g, X], [X*, Theta_r]] instead of by a
-    Lyapunov solve at order n + r: Theta_g and the decoupled Schur split of
-    g are computed once per parent and kept while g is alive, and each call
-    solves triangular Sylvester equations that pair the small split of r
-    with them (Bartels and Stewart, 1972), at O(n^2 r) cost.  Only parts of
-    equal stability are coupled, because the stable-antistable cross terms
-    of the frequency integral vanish.  Each block solve must leave a
+    Lyapunov solve at order n + r.  Theta_g and the decoupled Schur split
+    of g are computed once per parent and kept while g is alive; they are
+    the same split and Gramian that :func:`controllability_gramian` uses.
+    Theta_r takes that same path on the small split of r, so reduced models
+    that picked up antistable modes are measured too.  The cross Gramian X
+    comes from triangular Sylvester solves that pair the split of r with
+    that of g (Bartels and Stewart, 1972), at O(n^2 r) cost.  Only parts
+    of equal stability are coupled, because the stable-antistable cross
+    terms of the frequency integral vanish.  Each block solve must leave a
     residual below 1e-8 times ||B B*||_F of the error system.
 
     A value swamped by rounding error (a badly scaled realization of r)
@@ -611,22 +594,13 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     bbh_norm = np.linalg.norm(g.B.conj().T @ g.B + r.B.conj().T @ r.B, "fro")
     tol = LYAPUNOV_RESIDUAL_RTOL * max(bbh_norm, np.finfo(float).tiny)
 
-    def solve(T, S, lhs, rhs, sign):
-        # The stable parts solve T M + M S* + lhs rhs* = 0, the antistable
-        # parts the sign-flipped equation.
-        return _triangular_sylvester(T, S, sign * (lhs @ rhs.conj().T), tol)
-
-    # In the decoupled coordinates both Gramian blocks are block diagonal;
-    # V_g and V_r take them back to the states of g and r.
-    P_r = sla.block_diag(
-        solve(rs.T11, rs.T11, rs.B1, rs.B1, -1.0),
-        solve(rs.T22, rs.T22, rs.B2, rs.B2, 1.0),
-    )
-    theta_r = rs.to_state(rs.to_state(P_r).conj().T)
-    theta_r = 0.5 * (theta_r + theta_r.conj().T)
+    theta_r, _ = _split_gramian(rs, r.B @ r.B.conj().T, tol)
+    # The stable parts solve T M + M S* + B1_g B1_r* = 0, the antistable
+    # parts the sign-flipped equation; V_g and V_r take M back to the
+    # states of g and r.
     M = sla.block_diag(
-        solve(gs.T11, rs.T11, gs.B1, rs.B1, -1.0),
-        solve(gs.T22, rs.T22, gs.B2, rs.B2, 1.0),
+        _triangular_sylvester(gs.T11, rs.T11, -(gs.B1 @ rs.B1.conj().T), tol)[0],
+        _triangular_sylvester(gs.T22, rs.T22, gs.B2 @ rs.B2.conj().T, tol)[0],
     )
     X = gs.to_state(rs.to_state(M.conj().T).conj().T)
     theta = np.block([[theta_g, X], [X.conj().T, theta_r]])

@@ -78,11 +78,13 @@ class ReducerConfig:
     max_iters : int
         Hard iteration bound.
     track_error : bool
-        Measure the error norm each iteration.  The parent's Gramian and
-        Schur form are computed once per run; each measurement then costs
-        triangular Sylvester solves against them (O(n^2 r) for parent order
-        n and model order r) and an eigendecomposition of the (n + r)
-        error Gramian for the rounding check.
+        Measure the error norm each iteration.  The parent's ordered Schur
+        split is computed once per run, and its Gramian comes from that
+        split; each measurement then costs triangular Sylvester solves
+        against them (O(n^2 r) for parent order n and model order r) and
+        an eigendecomposition of the (n + r) error Gramian for the
+        rounding check.  The objective gamma needs the parent's Gramian,
+        so its split is computed on untracked runs too.
     """
 
     strategy: SelectionStrategy

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,13 +64,28 @@ class TestControllabilityGramian:
         npt.assert_allclose(got, want, rtol=1e-7)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["stable", "antistable"])
+    def test_matches_dense_lyapunov_solver(self, field, sign):
+        """SciPy's Bartels-Stewart solver is the reference on one-sided spectra.
+
+        The antistable Gramian solves the sign-flipped equation
+        A Theta + Theta A* = B B*.
+        """
+        base = random_stable(12, 2, 2, seed=9, field=field)
+        sys = StateSpace(sign * base.A, base.B, base.C, scalar_field=field)
+        want = sla.solve_continuous_lyapunov(sys.A, -sign * sys.B @ sys.B.conj().T)
+        got = controllability_gramian(sys).theta
+        npt.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
     def test_mixed_stability_matches_integral(self, field):
         """Poles on both sides: the two-sided resolvent integral is the reference."""
         sys = random_mixed(5, 3, 2, 2, seed=3, field=field)
-        theta = controllability_gramian(sys).theta
-        got = float(np.real(np.trace(sys.C @ theta @ sys.C.conj().T)))
+        res = controllability_gramian(sys)
+        got = float(np.real(np.trace(sys.C @ res.theta @ sys.C.conj().T)))
         want = h2_sq_quadrature(sys)
         npt.assert_allclose(got, want, rtol=1e-6)
+        assert res.residual <= 1e-8 * np.linalg.norm(sys.B @ sys.B.conj().T, "fro")
 
     def test_antistable_only(self):
         stable = random_stable(4, 1, 2, seed=4)

@@ -307,10 +307,22 @@ class TestReduce:
             gc.collect()
             assert ref() is None
 
-    def test_tracked_run_solves_parent_gramian_and_schur_once(self, monkeypatch):
-        sys = random_mixed(30, 10, 2, 2, seed=45, field="complex")
-        gramian_orders, schur_orders = [], []
+    @pytest.mark.parametrize(
+        "make_parent",
+        [
+            lambda: random_stable(40, 2, 2, seed=45),
+            lambda: random_mixed(30, 10, 2, 2, seed=45, field="complex"),
+        ],
+        ids=["stable-real", "mixed-complex"],
+    )
+    def test_tracked_run_solves_parent_gramian_and_schur_once(self, monkeypatch, make_parent):
+        # The Gramian and every error norm share the parent's ordered Schur
+        # split, whatever the parent's stability: no Lyapunov solver runs a
+        # Schur form of its own.
+        sys = make_parent()
+        gramian_orders, schur_orders, lyapunov_orders = [], [], []
         gramian, schur = tanmor.gramians.controllability_gramian, scipy.linalg.schur
+        lyapunov = scipy.linalg.solve_continuous_lyapunov
 
         def counting_gramian(s):
             gramian_orders.append(s.n)
@@ -320,9 +332,15 @@ class TestReduce:
             schur_orders.append(a.shape[0])
             return schur(a, *args, **kwargs)
 
+        def counting_lyapunov(a, q):
+            lyapunov_orders.append(a.shape[0])
+            return lyapunov(a, q)
+
         for owner in (tanmor.gramians, tanmor.reduction):
             monkeypatch.setattr(owner, "controllability_gramian", counting_gramian)
         monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        monkeypatch.setattr(scipy.linalg._solvers, "schur", counting_schur)
+        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counting_lyapunov)
         cfg = ReducerConfig(
             SelectionStrategy.discrete(K=80), max_order=12, rho=0.999, gamma_rel_tol=1e-300
         )
@@ -331,10 +349,11 @@ class TestReduce:
         assert all(np.isfinite(row.error_norm) for row in trace.rows)
         assert gramian_orders == [sys.n]
         assert schur_orders.count(sys.n) == 1
+        assert lyapunov_orders == []
 
     def test_tracked_run_factors_parent_spectrum_once(self, monkeypatch):
         # The response evaluator's eigendecomposition also supplies the
-        # poles of the parent (Gramian stability test, max-error
+        # poles of the parent (Gramian imaginary-axis check, max-error
         # candidates): no separate eigvals of the parent in a run.
         sys = random_mixed(30, 10, 2, 2, seed=45, field="complex")
         eig_orders, eigvals_orders = [], []
