@@ -56,7 +56,7 @@ class PeakSearchNotConverged(TanmorError):
     """The peak-gain search ran out of Hamiltonian rounds without a certificate.
 
     The cap is ``tanmor.gramians.PEAK_SEARCH_MAX_ROUNDS``; the search
-    usually certifies its gain in two rounds.
+    usually certifies its gain in one round.
     """
 
 

@@ -17,9 +17,11 @@ still have a well-defined frequency-domain Gramian, where the antistable
 part solves the sign-flipped Lyapunov equation.  Every Gramian, stable or
 not, comes from one path: an ordered Schur form split into its stable and
 antistable parts, then one triangular Lyapunov solve per part.  The
-peak-gain routine follows the quadratically convergent scheme of Bruinsma
-and Steinbuch (1990), locating candidate frequencies from purely imaginary
-eigenvalues of a Hamiltonian matrix.
+peak-gain routine first climbs to a local maximum of the response, then
+certifies it with the quadratically convergent scheme of Bruinsma and
+Steinbuch (1990), which locates candidate frequencies from purely imaginary
+eigenvalues of a Hamiltonian matrix (the order of Benner and Mitchell,
+2018).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import IllConditionedLyapunov, NonzeroFeedthrough, PeakSearchNotConverged
-from .lti import StateSpace, _evaluator, eval_tf, series_sub
+from .lti import StateSpace, _dense_response_slope, _evaluator, eval_tf, series_sub
 
 __all__ = [
     "GramianResult",
@@ -60,8 +62,12 @@ _HAM_IMAG_RTOL = 1e-8
 _H2_NOISE_RTOL = 1e-6
 
 #: The peak-gain search raises PeakSearchNotConverged after this many
-#: Hamiltonian rounds without a certificate; it usually needs two.
+#: Hamiltonian rounds without a certificate; it usually needs one.
 PEAK_SEARCH_MAX_ROUNDS = 100
+
+#: Bisection steps of the peak search's local stage; a bracket of width |w|
+#: shrinks to adjacent doubles in about 53.
+_LOCAL_STAGE_MAX_STEPS = 100
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -425,14 +431,68 @@ def _imag_eig_frequencies(ham_eigs: np.ndarray, real_field: bool) -> np.ndarray:
     return np.unique(on_axis.imag)
 
 
-def _peak_search(sys: StateSpace, candidates, sigma_max, rtol: float) -> PeakGain:
+def _sigma_max_slope(value: np.ndarray, slope: np.ndarray) -> tuple[float, float]:
+    """sigma_max of E(jw) and its derivative Re(u1* E'(jw) v1), E'(jw) = dE/dw.
+
+    u1 and v1 are the leading singular vectors of E(jw); the derivative
+    formula holds wherever the largest singular value is simple.
+    """
+    u, sv, vh = np.linalg.svd(value)
+    return float(sv[0]), float(np.real(u[:, 0].conj() @ slope @ vh[0].conj()))
+
+
+def _local_peak(omegas: list, i: int, sigma_slope) -> float | None:
+    """Local maximum of sigma_max next to the best scanned candidate omegas[i].
+
+    ``sigma_slope`` maps a frequency to sigma_max there and its derivative.
+    The search runs from c = omegas[i] towards its neighbour on the side
+    that the slope at c points to.  Both neighbours scored lower than c,
+    so that interval holds a local maximum, and bisection keeps one in its
+    bracket [near, far]: the slope at ``near`` points to ``far``, and
+    either ``far`` scored below c or its slope points back.  A midpoint
+    below the value at c becomes ``far``; otherwise the sign of its slope
+    decides which end it replaces.  Near the peak only that sign is used,
+    so the result is pinned to the last bit instead of stopping within
+    the flat top, where comparisons of values depend on rounding.
+    Returns None when there is no neighbour on that side.
+    """
+    c = omegas[i]
+    sigma_c, d = sigma_slope(c)
+    if d > 0.0 and i + 1 < len(omegas):
+        near, far = c, omegas[i + 1]
+    elif d < 0.0 and i > 0:
+        near, far = c, omegas[i - 1]
+    else:
+        return None
+    for _ in range(_LOCAL_STAGE_MAX_STEPS):
+        m = 0.5 * (near + far)
+        if m in (near, far):
+            break
+        sigma_m, d = sigma_slope(m)
+        if sigma_m >= sigma_c and d * (far - near) > 0.0:
+            near = m
+        else:
+            far = m
+    return near
+
+
+def _peak_search(sys: StateSpace, candidates, sigma_max, sigma_slope, rtol: float) -> PeakGain:
     """Bruinsma-Steinbuch search for the peak of the response of ``sys``.
 
     ``sigma_max`` maps a list of frequencies to the largest singular values
-    of the response of ``sys`` there; ``sys`` itself supplies only the
-    feedthrough and the Hamiltonian matrices.  Candidates are scanned in
-    ascending order, then the midpoints of each round, and a frequency
-    replaces the best one only when its value is strictly larger.
+    of the response of ``sys`` there, and ``sigma_slope`` maps one
+    frequency to that value and its derivative; ``sys`` itself supplies
+    only the feedthrough and the Hamiltonian matrices.  Candidates are scanned in
+    ascending order, and a frequency replaces the best one only when its
+    value is strictly larger.  A local stage (Benner and Mitchell, 2018)
+    then climbs from the best candidate to the nearby local maximum of
+    sigma_max (see :func:`_local_peak`); its frequency replaces the
+    candidate only when its value exceeds the candidate's by more than the
+    factor 1 + rtol, so a candidate already within rtol of the local peak
+    is kept as scanned.  Each Hamiltonian round then tests the level
+    (1 + rtol) times the best value and scans the midpoints of its
+    imaginary-eigenvalue frequencies.  With the local maximum in hand, the
+    first round usually finds no such frequency and certifies the gain.
     """
     if not 0.0 < rtol < 0.5:
         raise ValueError(f"rtol must lie in (0, 0.5), got {rtol}")
@@ -442,16 +502,25 @@ def _peak_search(sys: StateSpace, candidates, sigma_max, rtol: float) -> PeakGai
     if sys.n == 0:
         return PeakGain(math.inf, sigma_d)
 
-    best_gain, best_w = sigma_d, math.inf
+    best_gain, best_w, best_i = sigma_d, math.inf, None
     omegas = sorted(candidates)
-    for w, s in zip(omegas, sigma_max(omegas)):
+    for i, (w, s) in enumerate(zip(omegas, sigma_max(omegas))):
         if s > best_gain:
-            best_gain, best_w = float(s), float(w)
+            best_gain, best_w, best_i = float(s), float(w), i
 
     if best_gain <= 0.0:
         return PeakGain(0.0, 0.0)
 
     eps = rtol / 2.0
+    # sigma_max of a real system is even in w, so w = 0 is stationary.
+    stationary = sys.is_real and best_w == 0.0
+    if best_i is not None and not stationary:
+        w = _local_peak(omegas, best_i, sigma_slope)
+        if w is not None:
+            s = float(sigma_max([w])[0])
+            if s > best_gain * (1.0 + 2.0 * eps):
+                best_gain, best_w = s, w
+
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     for _ in range(PEAK_SEARCH_MAX_ROUNDS):
         gamma = best_gain * (1.0 + 2.0 * eps)
@@ -490,14 +559,18 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
 
     Uses the Hamiltonian-eigenvalue test: gamma exceeds the peak if and
     only if the associated 2n x 2n Hamiltonian matrix has no purely
-    imaginary eigenvalues.  Starting from singular values at frequency
-    candidates derived from the poles, each round evaluates midpoints of
-    the imaginary-eigenvalue frequencies of an infeasible gamma, which
-    converges quadratically (Bruinsma and Steinbuch, 1990).  Stability of
-    A is not required, only the absence of imaginary-axis poles.  Each
-    response is a dense solve against ``sys``; nothing is cached between
-    calls.  :func:`tanmor.select_max_error` runs the same search on an
-    error system g - r, with the responses of g cached per parent.
+    imaginary eigenvalues.  The search scans singular values at frequency
+    candidates derived from the poles, then climbs from the best one to
+    the nearby local maximum by bisection on the sign of d sigma_max / dw
+    (Benner and Mitchell, 2018).  Each Hamiltonian round tests a level
+    just above the best value found and evaluates midpoints of its
+    imaginary-eigenvalue frequencies, which converges quadratically
+    (Bruinsma and Steinbuch, 1990); when the local maximum is the global
+    one, the first round certifies it.  Stability of A is not required,
+    only the absence of imaginary-axis poles.  Each response and slope is
+    a dense solve against ``sys``; nothing is cached between calls.
+    :func:`tanmor.select_max_error` runs the same search on an error
+    system g - r, with the responses of g cached per parent.
 
     Parameters
     ----------
@@ -524,6 +597,7 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
         sys,
         _pole_candidates(sys.poles(), sys.is_real),
         lambda omegas: _sigma_max_batch([eval_tf(sys, 1j * w) for w in omegas]),
+        lambda w: _sigma_max_slope(*_dense_response_slope(sys, w)),
         rtol,
     )
 

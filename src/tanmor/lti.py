@@ -11,6 +11,7 @@ conditioned, from the complex Schur form (O(n^2) per frequency).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import weakref
 
 import numpy as np
@@ -174,12 +175,17 @@ class StateSpace:
     def poles(self) -> np.ndarray:
         """Eigenvalues of A (empty for constant systems).
 
-        Once the cached response evaluator exists, its eigenvalues are reused.
+        Once the cached response evaluator exists, its eigenvalues are reused;
+        before that, the first ``eigvals`` of A is kept on the instance.
         """
         if self.n == 0:
             return np.zeros(0, dtype=complex)
         ev = _EVALUATORS.get(self)
-        return np.linalg.eigvals(self.A) if ev is None else ev.lam.copy()
+        return self._eigvals.copy() if ev is None else ev.lam.copy()
+
+    @functools.cached_property
+    def _eigvals(self) -> np.ndarray:
+        return np.linalg.eigvals(self.A)
 
     def assert_no_imaginary_poles(self) -> None:
         """Raise InvariantViolation if any pole sits on the imaginary axis.
@@ -249,12 +255,21 @@ def _dense_resolvent_solve(A: np.ndarray, s: complex, rhs: np.ndarray) -> np.nda
     Stays in real arithmetic when everything involved is real, so e.g.
     a real system evaluated at s = 0 produces a bitwise-real result.
     """
-    n = A.shape[0]
     real_path = (
         not np.iscomplexobj(A)
         and not np.iscomplexobj(rhs)
         and complex(s).imag == 0.0
     )
+    return sla.lu_solve(_resolvent_lu(A, s, real_path), rhs)
+
+
+def _resolvent_lu(A: np.ndarray, s: complex, real_path: bool):
+    """LU factors of sI - A, in real arithmetic when ``real_path`` is set.
+
+    Raises SingularResolvent when the reciprocal condition estimate is
+    below RESOLVENT_RCOND_MIN.
+    """
+    n = A.shape[0]
     shift = complex(s).real if real_path else complex(s)
     M = shift * np.eye(n, dtype=np.float64 if real_path else np.complex128) - A
     anorm = np.linalg.norm(M, 1)
@@ -267,7 +282,7 @@ def _dense_resolvent_solve(A: np.ndarray, s: complex, rhs: np.ndarray) -> np.nda
         raise SingularResolvent(
             f"sI - A numerically singular at s={s} (rcond estimate {rcond:.2e})"
         )
-    return sla.lu_solve((lu, piv), rhs)
+    return lu, piv
 
 
 def eval_tf(sys: StateSpace, s: complex) -> np.ndarray:
@@ -353,6 +368,24 @@ class _Evaluator:
         X = [sla.solve_triangular(sk * eye - self.T, self.Bt) for sk in s]
         return self.Ct @ np.array(X) + self.D
 
+    def slopes(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G(jw_k) and dG(jw)/dw at w_k for shifts s = jw, each stacked (K, p, q).
+
+        The derivative is -j Ct (sI - M)^-2 Bt: one more stacked product,
+        or one more triangular solve per frequency.
+        """
+        shift = self._shifts(s)
+        if self.T is None:
+            X = self.Ct / shift[:, None, :]
+            return X @ self.Bt + self.D, -1j * ((X / shift[:, None, :]) @ self.Bt)
+        eye = np.eye(self.lam.size)
+        X, Y = [], []
+        for sk in s:
+            M = sk * eye - self.T
+            X.append(sla.solve_triangular(M, self.Bt))
+            Y.append(sla.solve_triangular(M, X[-1]))
+        return self.Ct @ np.array(X) + self.D, -1j * (self.Ct @ np.array(Y))
+
     def rows(self, s: complex, rows: np.ndarray) -> np.ndarray:
         """rows @ (sI - A)^-1 for an m x n row block."""
         shift = self._shifts(np.array([s]))[0]
@@ -395,6 +428,27 @@ def _responses(sys: StateSpace, omegas) -> np.ndarray:
     if not zero.all():
         out[~zero] = _evaluator(sys).responses(1j * omegas[~zero])
     return out
+
+
+def _response_slopes(sys: StateSpace, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """G(j*w) and dG(j*w)/dw for each w, as complex (K, p, q) stacks.
+
+    Both come from the cached evaluator, with no dense path at w = 0.
+    """
+    omegas = np.asarray(omegas, dtype=float).reshape(-1)
+    if sys.n == 0:
+        values = np.broadcast_to(sys.D, (omegas.size, sys.p, sys.q)).astype(np.complex128)
+        return values, np.zeros_like(values)
+    return _evaluator(sys).slopes(1j * omegas)
+
+
+def _dense_response_slope(sys: StateSpace, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """G(j*w) and dG(j*w)/dw from one dense LU of j*w*I - A."""
+    if sys.n == 0:
+        return sys.D.astype(np.complex128), np.zeros((sys.p, sys.q), dtype=np.complex128)
+    lu = _resolvent_lu(sys.A, 1j * w, False)
+    X = sla.lu_solve(lu, sys.B)
+    return sys.C @ X + sys.D, -1j * (sys.C @ sla.lu_solve(lu, X))
 
 
 def freq_sweep(sys: StateSpace, omegas) -> list[FreqResponse]:

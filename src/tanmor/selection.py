@@ -25,9 +25,22 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import EmptyGrid, RankExhausted
-from .gramians import _parent_context, _peak_search, _pole_candidates, _sigma_max_batch
+from .gramians import (
+    _parent_context,
+    _peak_search,
+    _pole_candidates,
+    _sigma_max_batch,
+    _sigma_max_slope,
+)
 from .interpolation import InterpPoint, RANK_FLOOR_RTOL
-from .lti import FreqResponse, StateSpace, _responses, series_sub
+from .lti import (
+    FreqResponse,
+    StateSpace,
+    _dense_response_slope,
+    _response_slopes,
+    _responses,
+    series_sub,
+)
 
 __all__ = [
     "SplitMix64",
@@ -182,16 +195,20 @@ def _parent_at(g: StateSpace, omegas) -> np.ndarray:
 def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
     """Frequency where the spectral norm of the error G - R peaks.
 
-    Runs the Bruinsma-Steinbuch search of :func:`tanmor.peak_gain` on the
-    error G - R, with every candidate evaluated as sigma_max(G(jw) - R(jw)).
-    The poles of g and a memo w -> G(jw) are kept in the per-parent context
-    of :mod:`tanmor.gramians`, which does not keep g alive, so each call
+    Runs the search of :func:`tanmor.peak_gain` on the error G - R, with
+    every candidate evaluated as sigma_max(G(jw) - R(jw)).  The poles of g
+    and a memo w -> G(jw) are kept in the per-parent context of
+    :mod:`tanmor.gramians`, which does not keep g alive, so each call
     evaluates R at every candidate but G only at frequencies not seen
-    before: the candidates from the poles of r and the Hamiltonian
-    midpoints, all candidates of a round in one stacked product of the
-    cached evaluators of :mod:`tanmor.lti`.  The Hamiltonian test on the
-    stacked error system ``series_sub(g, r)`` still certifies the result,
-    as in :func:`tanmor.peak_gain`.
+    before: the candidates from the poles of r, the local maximum and the
+    Hamiltonian midpoints, all candidates of a round in one stacked product
+    of the cached evaluators of :mod:`tanmor.lti`.  The local stage's
+    slopes Re(u1* (G'(jw) - R'(jw)) v1) are not memoized; they take G and
+    G' from the parent's evaluator and R and R' from a dense solve, since
+    the modal evaluator of a badly scaled r is off by enough to move the
+    root of the slope.  The Hamiltonian test on the stacked error system
+    ``series_sub(g, r)`` then certifies the result, usually in its first
+    round, as in :func:`tanmor.peak_gain`.
 
     A plateau-at-infinity result is mapped to 10 times the largest pole
     magnitude of the error system (there is no finite argmax to return);
@@ -209,7 +226,13 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
     def sigma_max(omegas):
         return _pointwise_error(_parent_at(g, omegas), r, omegas)
 
-    pg = _peak_search(err, _pole_candidates(poles, err.is_real), sigma_max, rtol)
+    def sigma_slope(w):
+        (gv,), (gd,) = _response_slopes(g, [w])
+        rv, rd = _dense_response_slope(r, w)
+        return _sigma_max_slope(gv - rv, gd - rd)
+
+    candidates = _pole_candidates(poles, err.is_real)
+    pg = _peak_search(err, candidates, sigma_max, sigma_slope, rtol)
     w = pg.omega_star
     if math.isinf(w):
         w = 10.0 * float(np.max(np.abs(poles))) if poles.size else 1.0

@@ -89,6 +89,46 @@ def modal_stable(n_pairs, p, q, seed, wmin=0.3, wmax=30.0):
     return StateSpace(A, B, C, np.zeros((p, q)))
 
 
+def resonance_peak(w0, zeta):
+    """Peak gain 1 / (2 zeta w0 sqrt(1 - zeta^2)) of w0 / (s^2 + 2 zeta w0 s + w0^2).
+
+    It is attained at w0 sqrt(1 - 2 zeta^2).
+    """
+    return 1.0 / (2.0 * zeta * w0 * math.sqrt(1.0 - zeta * zeta))
+
+
+def decoupled_resonances(*channels):
+    """Diagonal real system, channel i being k w0 / (s^2 + 2 zeta w0 s + w0^2).
+
+    ``channels`` holds one (w0, zeta, k) triple per channel.
+    """
+    m = len(channels)
+    A, B, C = np.zeros((2 * m, 2 * m)), np.zeros((2 * m, m)), np.zeros((m, 2 * m))
+    for i, (w0, zeta, k) in enumerate(channels):
+        A[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[0.0, w0], [-w0, -2.0 * zeta * w0]]
+        B[2 * i + 1, i] = 1.0
+        C[i, 2 * i] = k
+    return StateSpace(A, B, C)
+
+
+def eigvals_sizes(monkeypatch):
+    """Record the order of the matrix of each ``np.linalg.eigvals`` call.
+
+    Returns the list that the orders are appended to.  The peak search on
+    an n-state system solves 2n x 2n Hamiltonians; in the tests that use
+    this, no other eigvals call is that large.
+    """
+    sizes = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        sizes.append(a.shape[0])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    return sizes
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------

@@ -245,6 +245,28 @@ class TestEvaluator:
             npt.assert_allclose(resolvent_rows(sys, s, rows), want, rtol=1e-10)
 
     @pytest.mark.parametrize("path", ["modal", "schur"])
+    def test_slopes_match_dense_solves_and_differences(self, path):
+        # dG(jw)/dw = -j C (jwI - A)^-2 B, from the cached evaluator (either
+        # path) and from one dense LU; the latter against central differences.
+        if path == "modal":
+            sys = random_stable(12, 2, 3, seed=4, feedthrough=True)
+        else:
+            U = np.linalg.qr(np.random.default_rng(1).standard_normal((5, 5)) + 0j)[0]
+            block = jordan_block(5, -0.7 + 0.4j)
+            sys = StateSpace(U @ block.A @ U.conj().T, U @ block.B, block.C @ U.conj().T)
+        assert (tanmor.lti._evaluator(sys).T is None) == (path == "modal")
+        omegas = [-1.3, 0.0, 0.4, 2.5]
+        values, slopes = tanmor.lti._response_slopes(sys, omegas)
+        for w, value, slope in zip(omegas, values, slopes):
+            dense_value, dense_slope = tanmor.lti._dense_response_slope(sys, w)
+            npt.assert_allclose(value, eval_tf(sys, 1j * w), rtol=1e-10, atol=1e-12)
+            npt.assert_allclose(dense_value, eval_tf(sys, 1j * w), rtol=1e-12, atol=1e-14)
+            npt.assert_allclose(slope, dense_slope, rtol=1e-10, atol=1e-12)
+            h = 1e-5
+            diff = (eval_tf(sys, 1j * (w + h)) - eval_tf(sys, 1j * (w - h))) / (2 * h)
+            npt.assert_allclose(dense_slope, diff, rtol=1e-7, atol=1e-9)
+
+    @pytest.mark.parametrize("path", ["modal", "schur"])
     def test_imaginary_axis_pole_raises(self, path):
         if path == "modal":
             # Real oscillator with poles +/- 1.5j.

@@ -37,10 +37,13 @@ from tanmor import (
 )
 
 from helpers import (
+    decoupled_resonances,
+    eigvals_sizes,
     h2_sq_quadrature,
     modal_stable,
     random_mixed,
     random_stable,
+    resonance_peak,
     stacked_max_error,
     uncached_discrete,
 )
@@ -229,11 +232,24 @@ class TestReduce:
         assert new.stop_reason == old.stop_reason == "max-order"
         assert [row.order for row in new.rows] == [row.order for row in old.rows]
         npt.assert_allclose(
-            [row.omega for row in new.rows], [row.omega for row in old.rows], rtol=1e-10
+            [row.omega for row in new.rows], [row.omega for row in old.rows], rtol=1e-12
         )
         npt.assert_allclose(
             [row.gamma for row in new.rows], [row.gamma for row in old.rows], rtol=1e-12
         )
+
+    def test_max_error_runs_one_hamiltonian_per_iteration(self, monkeypatch):
+        # The local stage hands each Hamiltonian round a local maximum, so
+        # the first round at (1 + rtol) times its gain certifies it: one
+        # 2(n + r) x 2(n + r) eigvals per iteration, r the order before it.
+        sys = random_stable(40, 3, 3, seed=42)
+        sizes = eigvals_sizes(monkeypatch)
+        trace = reduce(sys, max_error_cfg(12, rho=0.999, gamma_rel_tol=1e-300))
+        assert trace.stop_reason == "max-order"
+        before = [0] + [row.order for row in trace.rows[:-1]]
+        assert [size for size in sizes if size >= 2 * sys.n] == [
+            2 * (sys.n + order) for order in before
+        ]
 
     def test_max_error_cache_releases_parent(self):
         # The per-parent context (Gramian and its factor, responses, Schur
@@ -374,6 +390,25 @@ class TestReduce:
         assert eig_orders.count(sys.n) == 1
         assert sys.n not in eigvals_orders
 
+    def test_tracked_run_computes_each_model_spectrum_once(self, monkeypatch):
+        # The stability flag, error_norm's imaginary-axis check and the
+        # next max-error search all read one eigvals of each reduced model.
+        sys = random_mixed(30, 10, 2, 2, seed=45, field="complex")
+        seen = []
+        eigvals = np.linalg.eigvals
+
+        def recording(a):
+            seen.append(a)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        trace = reduce(sys, max_error_cfg(8, rho=0.999, gamma_rel_tol=1e-300))
+        assert len(trace.rows) >= 4
+        assert all(np.isfinite(row.error_norm) for row in trace.rows)
+        assert [sum(a is row.model.A for a in seen) for row in trace.rows] == [1] * len(
+            trace.rows
+        )
+
     def test_parent_evaluated_once_per_iteration(self, monkeypatch):
         # Every parent response of a run comes from the selection module's
         # binding of the cached evaluator, and no frequency is evaluated
@@ -413,6 +448,28 @@ class TestReduce:
             assert set(refined) <= set(seen), strategy.kind
 
     def test_unconverged_peak_search_halts_with_trace(self, monkeypatch):
+        # Three decoupled resonances: the first iteration takes the highest,
+        # at w = 1.  The second search then meets a sharp peak at w = 2 and
+        # a broad one 0.5% higher, whose pole candidates score about 1%
+        # below the sharp one, so it needs more than one Hamiltonian round.
+        sharp = resonance_peak(2.0, 5e-3)
+        sys = decoupled_resonances(
+            (1.0, 5e-3, 3.0 * sharp / resonance_peak(1.0, 5e-3)),
+            (2.0, 5e-3, 1.0),
+            (5.0, 0.3, 1.005 * sharp / resonance_peak(5.0, 0.3)),
+        )
+        sizes, rounds = eigvals_sizes(monkeypatch), []
+
+        def counting(g, r, rtol=1e-6):
+            sizes.clear()
+            w = select_max_error(g, r, rtol)
+            rounds.append(sizes.count(2 * (g.n + r.n)))
+            return w
+
+        monkeypatch.setattr(tanmor.reduction, "select_max_error", counting)
+        reduce(sys, max_error_cfg(6))
+        assert rounds[1] >= 2
+
         calls = []
 
         def capped_from_second_call(g, r, rtol=1e-6):
@@ -422,7 +479,6 @@ class TestReduce:
             return select_max_error(g, r, rtol)
 
         monkeypatch.setattr(tanmor.reduction, "select_max_error", capped_from_second_call)
-        sys = random_stable(6, 2, 2, seed=26)
         trace = reduce(sys, max_error_cfg(6))
         assert trace.stop_reason.startswith("halted[PeakSearchNotConverged]: ")
         assert len(trace.rows) == 1

@@ -1,12 +1,18 @@
 """Frequency selection rules, the portable RNG, and refinement decisions."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tanmor
 import tanmor.gramians
 from tanmor import (
     EmptyGrid,
@@ -31,10 +37,13 @@ from tanmor import (
 )
 
 from helpers import (
+    decoupled_resonances,
+    eigvals_sizes,
     level_crossings,
     naive_tf,
     random_mixed,
     random_stable,
+    resonance_peak,
     stacked_max_error,
 )
 
@@ -189,12 +198,63 @@ class TestSelectMaxError:
         slack = 1e-9 * max(1.0, abs(w_ref))
         assert lo - slack <= w <= hi + slack
 
+    @pytest.mark.parametrize("w0, zeta", [(2.0, 5e-3), (0.5, 0.05), (10.0, 0.2)])
+    def test_local_stage_lands_on_analytic_peak(self, w0, zeta):
+        # |G(jw)| of w0 / (s^2 + 2 zeta w0 s + w0^2) peaks at
+        # w0 sqrt(1 - 2 zeta^2).  The pole candidates miss that by about
+        # zeta^2 / 2 relative, and rtol is 1e-6; agreement to 1e-10 in w
+        # shows that the local stage lands on the argmax itself.
+        g = resonant_siso(w0, zeta)
+        w_star = w0 * math.sqrt(1.0 - 2.0 * zeta**2)
+        gain = resonance_peak(w0, zeta)
+        pg = peak_gain(g)
+        assert pg.omega_star == pytest.approx(w_star, rel=1e-10)
+        assert pg.gain == pytest.approx(gain, rel=1e-12)
+        w = select_max_error(g, zero_like(g))
+        assert w == pytest.approx(w_star, rel=1e-10)
+        assert abs(eval_tf(g, 1j * w)[0, 0]) == pytest.approx(gain, rel=1e-12)
+
+    def test_max_error_leaves_scipy_optimize_unloaded(self):
+        # The local stage is written out by hand: importing scipy.optimize
+        # alone adds about 18 MB to the resident set of a process.
+        code = textwrap.dedent(
+            """
+            import sys
+            import tanmor
+            g = tanmor.StateSpace([[0.0, 2.0], [-2.0, -0.02]], [[0.0], [1.0]], [[1.0, 0.0]])
+            cfg = tanmor.ReducerConfig(tanmor.SelectionStrategy.max_error(), max_order=2)
+            trace = tanmor.reduce(g, cfg)
+            print(len(trace.rows), "scipy.optimize" in sys.modules)
+            """
+        )
+        src = str(pathlib.Path(tanmor.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.split() == ["1", "False"]
+
     def test_unconverged_search_raises(self, monkeypatch):
-        # The search on this resonance needs two Hamiltonian rounds: one
-        # that improves the gain and one that certifies it.
-        g = resonant_siso()
-        select_max_error(g, zero_like(g))
-        peak_gain(g)
+        # A sharp resonance and a broad one 0.5% higher.  The pole
+        # candidates sit on the sharp peak but about 1% below the broad
+        # one, so the local stage climbs the lower peak, and the
+        # Hamiltonian rounds must find the higher one and certify it:
+        # more than one round.
+        sharp = resonance_peak(2.0, 5e-3)
+        g = decoupled_resonances(
+            (2.0, 5e-3, 1.0), (5.0, 0.3, 1.005 * sharp / resonance_peak(5.0, 0.3))
+        )
+        w_broad = 5.0 * math.sqrt(1.0 - 2.0 * 0.3**2)
+        sizes = eigvals_sizes(monkeypatch)
+        assert select_max_error(g, zero_like(g)) == pytest.approx(w_broad, rel=1e-4)
+        assert sizes.count(2 * g.n) >= 2
+        sizes.clear()
+        assert peak_gain(g).gain == pytest.approx(1.005 * sharp, rel=1e-6)
+        assert sizes.count(2 * g.n) >= 2
         monkeypatch.setattr(tanmor.gramians, "PEAK_SEARCH_MAX_ROUNDS", 1)
         with pytest.raises(PeakSearchNotConverged, match="1 Hamiltonian rounds"):
             select_max_error(g, zero_like(g))
