@@ -329,15 +329,16 @@ def h2_norm_sq(sys: StateSpace, strict_proper: bool = False) -> float:
     Theta comes from :func:`controllability_gramian`.  It is positive
     semidefinite in exact arithmetic, so the part of the trace carried by
     its negative eigenvalues is rounding error, and the positive part
-    carries error of the same size.  A badly scaled realization (huge
-    output map, nearly dependent modes) can make that error swamp the
+    carries error of the same size; only the eigenpairs of Theta in
+    (-inf, 0] are computed for that estimate.  A badly scaled realization
+    (huge output map, nearly dependent modes) can make that error swamp the
     value, even with every solve passing its residual check.  Such a value
     is rejected rather than returned: the call raises when the magnitude of
     the negative part exceeds 1e-6 times the larger of the value and the
     summed squared norms of the decoupled diagonal blocks of A.  For an
     error system ``series_sub(g, r)`` those are the blocks of g and of r,
     so a model that matches g to rounding level measures as zero instead
-    of being rejected.
+    of being rejected.  A Theta or trace that is not finite is rejected too.
 
     Parameters
     ----------
@@ -354,8 +355,8 @@ def h2_norm_sq(sys: StateSpace, strict_proper: bool = False) -> float:
     InvariantViolation
         If A has an imaginary-axis pole (the norm is infinite).
     IllConditionedLyapunov
-        If a Gramian solve fails its residual check, or rounding error
-        swamps the value.
+        If a Gramian solve fails its residual check, the value is not
+        finite, or rounding error swamps it.
     """
     if np.any(sys.D != 0) and not strict_proper:
         raise NonzeroFeedthrough(
@@ -368,10 +369,21 @@ def h2_norm_sq(sys: StateSpace, strict_proper: bool = False) -> float:
 
 
 def _checked_trace(sys: StateSpace, theta: np.ndarray) -> float:
-    """trace(C Theta C*), raising when its rounding error swamps it."""
+    """trace(C Theta C*), raising when it is not finite or rounding error swamps it.
+
+    Only the eigenpairs of Theta in (-inf, 0] are computed (LAPACK's
+    range-selected xSYEVR/xHEEVR): the rounding-error estimate uses those
+    with a negative eigenvalue and nothing else of the spectrum.
+    """
     C = sys.C
     value = float(np.real(np.trace(C @ theta @ C.conj().T)))
-    lam, V = np.linalg.eigh(theta)
+    if not (math.isfinite(value) and np.isfinite(theta).all()):
+        raise IllConditionedLyapunov(
+            f"squared H2 norm {value:.6g} or its Gramian is not finite"
+        )
+    lam, V = sla.eigh(
+        theta, subset_by_value=(-np.inf, 0.0), driver="evr", check_finite=False
+    )
     neg = lam < 0
     noise = -float(lam[neg] @ np.sum(np.abs(C @ V[:, neg]) ** 2, axis=0))
     # Diagonal blocks of A with no coupling entries are subsystems in

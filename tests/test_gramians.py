@@ -9,7 +9,9 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tanmor.gramians
 from tanmor import (
+    IllConditionedLyapunov,
     InvariantViolation,
     NonzeroFeedthrough,
     ReducerConfig,
@@ -307,3 +309,81 @@ def test_error_norm_on_benchmark_matches_stacked_h2_norm():
     models = [row.model for row in trace.rows] + baselines
     want = [h2_norm_sq(series_sub(g, m)) for m in models]
     npt.assert_allclose(got, want, rtol=1e-10)
+
+
+class TestRoundingGuard:
+    def test_non_finite_gramian_raises(self):
+        sys = random_stable(4, 2, 2, seed=30)
+        theta = controllability_gramian(sys).theta.copy()
+        theta[1, 2] = theta[2, 1] = np.nan
+        with pytest.raises(IllConditionedLyapunov):
+            tanmor.gramians._checked_trace(sys, theta)
+
+    @pytest.fixture(scope="class")
+    def reduced(self):
+        g = random_stable(12, 2, 2, seed=20)
+        trace = reduce(g, ReducerConfig(SelectionStrategy.max_error(), max_order=6))
+        assert trace.model.n == 6
+        return g, trace.model
+
+    @staticmethod
+    def similar(r, spread):
+        # T = U diag(spread) W^T with random orthogonal U and W: a
+        # non-normal change of coordinates (a diagonal T leaves the guard
+        # quiet).
+        rng = np.random.default_rng(0)
+        U = np.linalg.qr(rng.standard_normal((r.n, r.n)))[0]
+        W = np.linalg.qr(rng.standard_normal((r.n, r.n)))[0]
+        T = U @ np.diag(spread) @ W.T
+        return StateSpace(np.linalg.solve(T, r.A @ T), np.linalg.solve(T, r.B), r.C @ T, r.D)
+
+    def test_ill_scaled_realization_trips_guard(self, reduced):
+        # cond(T) = 1e8: the same model, but its error trace is rounding
+        # noise (about -2.2 against an estimate of 4 or more).
+        g, r = reduced
+        r_t = self.similar(r, np.logspace(0, -8, r.n))
+        with pytest.raises(IllConditionedLyapunov):
+            error_norm(g, r_t)
+        with pytest.raises(IllConditionedLyapunov):
+            h2_norm_sq(series_sub(g, r_t))
+
+    def test_moderately_scaled_realization_measures(self, reduced):
+        # cond(T) = 1e4 still measures the model's error.
+        g, r = reduced
+        want = error_norm(g, r).value
+        assert math.isfinite(want) and want > 0
+        got = error_norm(g, self.similar(r, np.logspace(0, -4, r.n))).value
+        npt.assert_allclose(got, want, rtol=1e-4)
+
+    @pytest.mark.parametrize(
+        "parent, strategy",
+        [
+            (random_stable(40, 3, 3, seed=42), SelectionStrategy.max_error()),
+            (
+                random_mixed(8, 4, 2, 2, seed=3, field="complex"),
+                SelectionStrategy.discrete(omega_min=1e-2, omega_max=1e2, K=50),
+            ),
+        ],
+    )
+    def test_guard_solves_only_nonpositive_eigenpairs(self, monkeypatch, parent, strategy):
+        # The parent's PSD factor is the one full spectrum a tracked run
+        # needs; each error norm asks only for the eigenpairs in (-inf, 0].
+        calls = []
+        np_eigh, sp_eigh = np.linalg.eigh, sla.eigh
+
+        def np_recording(a, *args, **kwargs):
+            calls.append((a.shape[0], None))
+            return np_eigh(a, *args, **kwargs)
+
+        def sp_recording(a, *args, **kwargs):
+            calls.append((a.shape[0], kwargs.get("subset_by_value")))
+            return sp_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", np_recording)
+        monkeypatch.setattr(sla, "eigh", sp_recording)
+        trace = reduce(parent, ReducerConfig(strategy, max_order=8, track_error=True))
+        assert trace.rows and all(math.isfinite(row.error_norm) for row in trace.rows)
+        assert [n for n, subset in calls if subset is None] == [parent.n]
+        guard = [(n, subset) for n, subset in calls if n > parent.n]
+        assert [n for n, _ in guard] == [parent.n + row.order for row in trace.rows]
+        assert all(subset == (-np.inf, 0.0) for _, subset in guard)

@@ -205,6 +205,27 @@ class TestReduce:
         assert len(trace.rows) == 2
         assert all(math.isnan(row.error_norm) for row in trace.rows)
 
+    def test_non_finite_error_gramian_records_nan(self, monkeypatch):
+        # A NaN block in one row's error Gramian is rejected by the rounding
+        # guard; that row records NaN and the run goes on.
+        sys = random_stable(6, 2, 2, seed=26)
+        split_gramian = tanmor.gramians._split_gramian
+        reduced = []
+
+        def poisoned(split, bbh, tol):
+            theta, defect = split_gramian(split, bbh, tol)
+            if split.Q.shape[0] < sys.n:
+                reduced.append(None)
+                if len(reduced) == 2:
+                    theta = np.full_like(theta, np.nan)
+            return theta, defect
+
+        monkeypatch.setattr(tanmor.gramians, "_split_gramian", poisoned)
+        trace = reduce(sys, max_error_cfg(6, max_iters=3))
+        assert len(trace.rows) == len(reduced) == 3
+        assert [math.isnan(row.error_norm) for row in trace.rows] == [False, True, False]
+        assert trace.stop_reason == "max-iters"
+
     def test_rounding_swamped_error_records_nan(self, swamped_run):
         g, trace = swamped_run
         assert trace.stop_reason == "max-order"
