@@ -69,6 +69,10 @@ PEAK_SEARCH_MAX_ROUNDS = 100
 #: shrinks to adjacent doubles in about 53.
 _LOCAL_STAGE_MAX_STEPS = 100
 
+#: The blocked Sylvester solve hands a block to LAPACK's trsyl once neither
+#: of its edges exceeds this.
+_SYLVESTER_LEAF = 64
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class GramianResult:
@@ -207,10 +211,8 @@ def _schur_split(sys: StateSpace, output: str) -> _SchurSplit:
     # Decouple: with state transform [[I, Y], [0, I]], the stable block
     # sees the input matrix B1 - Y B2.
     if T12.size:
-        # T11 and T22 are (quasi-)triangular already: trsyl solves T11 Y - Y T22 = -T12.
-        trsyl = sla.get_lapack_funcs("trsyl", (T11, T22, T12))
-        Y, scale, _ = trsyl(T11, T22, -T12, isgn=-1)
-        Y = Y / scale
+        # T11 and T22 are (quasi-)triangular already: solve T11 Y - Y T22 = -T12.
+        Y = _blocked_trsyl(T11, T22, -T12, isgn=-1, adjoint=False)
         syl_defect = np.linalg.norm(T11 @ Y - Y @ T22 + T12, "fro")
         syl_scale = (
             np.linalg.norm(T11 @ Y, "fro")
@@ -228,10 +230,78 @@ def _schur_split(sys: StateSpace, output: str) -> _SchurSplit:
     return _SchurSplit(k, Q, Y, T11, T22, Bt[:k] - Y @ Bt[k:], Bt[k:])
 
 
+class _ScaledLeaf(Exception):
+    """A trsyl leaf scaled its solution down to avoid overflow."""
+
+
+def _split_point(T: np.ndarray) -> int:
+    """Index near the middle of T that does not cut a 2 x 2 diagonal block."""
+    h = T.shape[0] // 2
+    return h + 1 if T[h, h - 1] != 0 else h
+
+
+def _trsyl_blocks(trsyl, T, S, rhs, isgn: int, tranb: str, X: np.ndarray) -> None:
+    """Write the solution of T X + isgn X op(S) = rhs into X, block by block.
+
+    The larger of T and S is split in two; the half whose solution the
+    other needs is solved first, one GEMM moves it into the other half's
+    right-hand side, and then that half is solved.  Blocks with no edge
+    above ``_SYLVESTER_LEAF`` go to ``trsyl`` itself.
+    """
+    m, k = rhs.shape
+    if max(m, k) <= _SYLVESTER_LEAF:
+        # info = 1 (close eigenvalues, perturbed solve) is left to the residual check.
+        X[:], scale, _ = trsyl(T, S, rhs, tranb=tranb, isgn=isgn)
+        if scale != 1.0:
+            raise _ScaledLeaf
+        return
+    if m >= k:
+        # Rows: T is upper triangular, so the trailing rows come first.
+        h = _split_point(T)
+        _trsyl_blocks(trsyl, T[h:, h:], S, rhs[h:], isgn, tranb, X[h:])
+        upd = rhs[:h] - T[:h, h:] @ X[h:]
+        _trsyl_blocks(trsyl, T[:h, :h], S, upd, isgn, tranb, X[:h])
+        return
+    # Columns: X S needs the leading columns first, X S* the trailing ones.
+    h = _split_point(S)
+    first, last = (slice(h), slice(h, None)) if tranb == "N" else (slice(h, None), slice(h))
+    _trsyl_blocks(trsyl, T, S[first, first], rhs[:, first], isgn, tranb, X[:, first])
+    S12 = S[:h, h:]
+    coupling = X[:, first] @ (S12 if tranb == "N" else S12.conj().T)
+    upd = rhs[:, last] - coupling if isgn == 1 else rhs[:, last] + coupling
+    _trsyl_blocks(trsyl, T, S[last, last], upd, isgn, tranb, X[:, last])
+
+
+def _blocked_trsyl(T, S, rhs, isgn: int = 1, adjoint: bool = True) -> np.ndarray:
+    """Solve T X + isgn X op(S) = rhs for upper (quasi-)triangular T and S.
+
+    op(S) is S* when ``adjoint`` is set and S otherwise.  This is the
+    recursive blocked algorithm of Jonsson and Kagstrom (ACM TOMS 28(4),
+    2002): most of the work is GEMM updates between halves, and LAPACK's
+    level-2 ``trsyl`` only solves the blocks at the leaves of the recursion.
+    Splits never cut a 2 x 2 block of a real quasi-triangular T or S.
+    When a leaf scales its solution down to avoid overflow, the whole
+    equation is handed to one flat ``trsyl`` call instead.
+    """
+    trsyl = sla.get_lapack_funcs("trsyl", (T, S, rhs))
+    tranb = ("T" if trsyl.typecode == "d" else "C") if adjoint else "N"
+    X = np.empty(rhs.shape, dtype=trsyl.dtype)
+    try:
+        _trsyl_blocks(trsyl, T, S, rhs, isgn, tranb, X)
+    except _ScaledLeaf:
+        X, scale, _ = trsyl(T, S, rhs, tranb=tranb, isgn=isgn)
+        X = X / scale
+    return X
+
+
 def _triangular_sylvester(T, S, rhs, tol: float) -> tuple[np.ndarray, float]:
     """Solve T M + M S* = rhs for upper (quasi-)triangular T and S.
 
-    Returns M and the Frobenius norm of its defect T M + M S* - rhs.
+    The solve is the recursive blocked one of :func:`_blocked_trsyl`
+    (GEMM updates between halves, LAPACK ``trsyl`` on blocks of edge at
+    most ``_SYLVESTER_LEAF``, one flat ``trsyl`` call if a block had to be
+    scaled).  Returns M and the Frobenius norm of its defect
+    T M + M S* - rhs.
 
     Raises
     ------
@@ -240,10 +310,7 @@ def _triangular_sylvester(T, S, rhs, tol: float) -> tuple[np.ndarray, float]:
     """
     if rhs.size == 0:
         return rhs, 0.0
-    trsyl = sla.get_lapack_funcs("trsyl", (T, S, rhs))
-    # info = 1 (close eigenvalues, perturbed solve) is left to the residual check.
-    M, scale, _ = trsyl(T, S, rhs, tranb="T" if trsyl.typecode == "d" else "C")
-    M = M / scale
+    M = _blocked_trsyl(T, S, rhs)
     defect = float(np.linalg.norm(T @ M + M @ S.conj().T - rhs, "fro"))
     if not defect <= tol:
         raise IllConditionedLyapunov(
@@ -326,11 +393,16 @@ def _parent_context(g: StateSpace) -> _ParentContext:
 def h2_norm_sq(sys: StateSpace, strict_proper: bool = False) -> float:
     """Squared H2 norm trace(C Theta C*) of a strictly proper system.
 
-    Theta comes from :func:`controllability_gramian`.  It is positive
-    semidefinite in exact arithmetic, so the part of the trace carried by
-    its negative eigenvalues is rounding error, and the positive part
-    carries error of the same size; only the eigenpairs of Theta in
-    (-inf, 0] are computed for that estimate.  A badly scaled realization
+    Theta comes from :func:`controllability_gramian`, whose triangular
+    solves are recursive and blocked.  It is positive semidefinite in exact
+    arithmetic, so the part of the trace carried by its negative
+    eigenvalues is rounding error, and the positive part carries error of
+    the same size.  A Cholesky factorization of Theta is tried first: when
+    it completes, it bounds that error (see :func:`_checked_trace`), and a
+    bound below 1e-6 times the value settles the check with no
+    eigensolve, as it does for positive-definite Gramians of well-scaled
+    systems.  Otherwise only the eigenpairs of Theta in (-inf, 0] are
+    computed for the estimate.  A badly scaled realization
     (huge output map, nearly dependent modes) can make that error swamp the
     value, even with every solve passing its residual check.  Such a value
     is rejected rather than returned: the call raises when the magnitude of
@@ -371,9 +443,29 @@ def h2_norm_sq(sys: StateSpace, strict_proper: bool = False) -> float:
 def _checked_trace(sys: StateSpace, theta: np.ndarray) -> float:
     """trace(C Theta C*), raising when it is not finite or rounding error swamps it.
 
-    Only the eigenpairs of Theta in (-inf, 0] are computed (LAPACK's
-    range-selected xSYEVR/xHEEVR): the rounding-error estimate uses those
-    with a negative eigenvalue and nothing else of the spectrum.
+    A Cholesky factorization of Theta is tried first.  When it runs to
+    completion, Theta + E = R* R is positive semidefinite with
+    |E_ij| <= g sqrt(theta_ii theta_jj), g = gamma_{N+1} / (1 - gamma_{N+1})
+    and gamma_k = k u / (1 - k u), u = eps / 2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 10.1), so every
+    eigenvalue of the N x N Theta is at least -||E||_2 >= -g tr(Theta),
+    about -(N + 1) u tr(Theta).  The eigensolve below moves the
+    eigenvalues it computes by some p(N) u ||Theta||_2 more.  The code
+    assumes p(N) <= 2N; that allowance is not a proven bound for
+    xSYEVR/xHEEVR, whose documented backward error carries an unspecified
+    modest p(N).  Under it, every computed eigenvalue is at least
+    -c N eps tr(Theta) with c = 2.  The rounding estimate sums
+    -lambda ||C v||^2 over orthonormal v, so it is at most
+    c N eps tr(Theta) ||C||_F^2.  When that bound is at most 1e-6 times the
+    value, the eigensolve path would not raise either, provided its
+    rounding stays within the allowance, so the value is returned with no
+    eigensolve: a positive-definite Theta skips it.
+
+    Otherwise only the eigenpairs of Theta in (-inf, 0] are computed
+    (LAPACK's range-selected xSYEVR/xHEEVR): the rounding-error estimate
+    uses those with a negative eigenvalue and nothing else of the spectrum,
+    and the summed block norms it is judged against are formed only when
+    that estimate is positive.
     """
     C = sys.C
     value = float(np.real(np.trace(C @ theta @ C.conj().T)))
@@ -381,11 +473,23 @@ def _checked_trace(sys: StateSpace, theta: np.ndarray) -> float:
         raise IllConditionedLyapunov(
             f"squared H2 norm {value:.6g} or its Gramian is not finite"
         )
+    try:
+        sla.cholesky(theta, check_finite=False)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        # c N eps tr(Theta) ||C||_F^2 with c = 2 bounds the estimate
+        # under the assumed eigensolver allowance p(N) <= 2N.
+        bound = 2.0 * theta.shape[0] * np.finfo(float).eps * np.real(np.trace(theta))
+        if bound * np.linalg.norm(C, "fro") ** 2 <= _H2_NOISE_RTOL * value:
+            return value
     lam, V = sla.eigh(
         theta, subset_by_value=(-np.inf, 0.0), driver="evr", check_finite=False
     )
     neg = lam < 0
     noise = -float(lam[neg] @ np.sum(np.abs(C @ V[:, neg]) ** 2, axis=0))
+    if not noise > 0.0:
+        return value
     # Diagonal blocks of A with no coupling entries are subsystems in
     # parallel.  The trace is the sum of their squared norms plus cross
     # terms, and the cross terms cancel them when the subsystems nearly
@@ -632,13 +736,19 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     Theta_r takes that same path on the small split of r, so reduced models
     that picked up antistable modes are measured too.  The cross Gramian X
     comes from triangular Sylvester solves that pair the split of r with
-    that of g (Bartels and Stewart, 1972), at O(n^2 r) cost.  Only parts
-    of equal stability are coupled, because the stable-antistable cross
-    terms of the frequency integral vanish.  Each block solve must leave a
-    residual below 1e-8 times ||B B*||_F of the error system.
+    that of g (Bartels and Stewart, 1972), at O(n^2 r) cost.  Every
+    triangular solve is the recursive blocked one of Jonsson and Kagstrom
+    (2002): GEMM updates between halves and LAPACK ``trsyl`` on small
+    leaves.  Only parts of equal stability are coupled, because the
+    stable-antistable cross terms of the frequency integral vanish.  Each
+    block solve must leave a residual below 1e-8 times ||B B*||_F of the
+    error system.
 
     A value swamped by rounding error (a badly scaled realization of r)
-    raises, as described in :func:`h2_norm_sq`; the decoupled diagonal
+    raises, as described in :func:`h2_norm_sq`.  A positive-definite
+    Theta whose Cholesky factorization certifies the value skips the
+    guard's eigensolve; any other Theta gets the range-selected
+    eigensolve of its non-positive eigenpairs.  The decoupled diagonal
     blocks of the error system are those of g and of r, so the rounding
     error is judged against their squared norms rather than against the
     (possibly tiny) error.

@@ -76,6 +76,38 @@ def _parse_scalar(tok: str, path, lineno: int):
         raise ParseError(f"cannot parse number {tok!r}", str(path), lineno) from None
 
 
+def _parse_block(key: str, rows: list[tuple[int, str]], path) -> np.ndarray:
+    """Matrix of one block's (line number, text) rows.
+
+    A real block is parsed by one ``np.loadtxt`` call, whose float parser
+    rounds exactly as ``float()`` does.  A complex block, or a real one
+    that call rejects, goes through the per-token loop: its values stand
+    for tokens that only Python accepts (digit separators, say), and its
+    errors name the line.
+    """
+    if not any("j" in row or "J" in row for _, row in rows):
+        try:
+            return np.loadtxt(
+                [row for _, row in rows], dtype=float, comments=None, ndmin=2
+            )
+        except ValueError:
+            pass
+    parsed = []
+    width = None
+    for lineno, row in rows:
+        vals = [_parse_scalar(tok, path, lineno) for tok in row.split()]
+        if width is None:
+            width = len(vals)
+        elif len(vals) != width:
+            raise ParseError(
+                f"row of {key} has {len(vals)} columns, expected {width}",
+                str(path),
+                lineno,
+            )
+        parsed.append(vals)
+    return np.array(parsed)
+
+
 def _parse_dense(text: str, path: pathlib.Path):
     sections: dict[str, list[tuple[int, str]]] = {}
     metas: dict[str, tuple[int, str]] = {}
@@ -125,21 +157,8 @@ def _parse_dense(text: str, path: pathlib.Path):
     any_complex = False
     empty_shapes = {"A": ("n", "n"), "B": ("n", "q"), "C": ("p", "n"), "D": ("p", "q")}
     for key, rows in sections.items():
-        parsed = []
-        width = None
-        for lineno, row in rows:
-            vals = [_parse_scalar(tok, path, lineno) for tok in row.split()]
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ParseError(
-                    f"row of {key} has {len(vals)} columns, expected {width}",
-                    str(path),
-                    lineno,
-                )
-            parsed.append(vals)
-        if parsed:
-            mat = np.array(parsed)
+        if rows:
+            mat = _parse_block(key, rows, path)
         else:
             # An empty block is legal only when the headers pin down a
             # degenerate shape (zero-state or zero-I/O models).

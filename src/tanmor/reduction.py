@@ -80,11 +80,14 @@ class ReducerConfig:
     track_error : bool
         Measure the error norm each iteration.  The parent's ordered Schur
         split is computed once per run, and its Gramian comes from that
-        split; each measurement then costs triangular Sylvester solves
-        against them (O(n^2 r) for parent order n and model order r) and
-        an eigendecomposition of the (n + r) error Gramian for the
-        rounding check.  The objective gamma needs the parent's Gramian,
-        so its split is computed on untracked runs too.
+        split; each measurement then costs recursive blocked triangular
+        Sylvester solves against them (O(n^2 r) for parent order n and
+        model order r) and a Cholesky factorization of the (n + r) error
+        Gramian for the rounding check.  A positive-definite Gramian that
+        the factorization certifies skips the check's eigensolve; any
+        other one adds a range-selected eigensolve of its non-positive
+        eigenpairs.  The objective gamma needs the parent's Gramian, so
+        its split is computed on untracked runs too.
     """
 
     strategy: SelectionStrategy

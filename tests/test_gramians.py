@@ -367,23 +367,209 @@ class TestRoundingGuard:
     )
     def test_guard_solves_only_nonpositive_eigenpairs(self, monkeypatch, parent, strategy):
         # The parent's PSD factor is the one full spectrum a tracked run
-        # needs; each error norm asks only for the eigenpairs in (-inf, 0].
+        # needs.  Each error norm tries one Cholesky factorization of its
+        # Gramian, and asks for the eigenpairs in (-inf, 0] only when that
+        # certificate fails; a failed factorization always needs them.
         calls = []
-        np_eigh, sp_eigh = np.linalg.eigh, sla.eigh
+        np_eigh, sp_eigh, sp_cholesky = np.linalg.eigh, sla.eigh, sla.cholesky
 
         def np_recording(a, *args, **kwargs):
-            calls.append((a.shape[0], None))
+            calls.append(("eigh", a.shape[0], None))
             return np_eigh(a, *args, **kwargs)
 
         def sp_recording(a, *args, **kwargs):
-            calls.append((a.shape[0], kwargs.get("subset_by_value")))
+            calls.append(("eigh", a.shape[0], kwargs.get("subset_by_value")))
             return sp_eigh(a, *args, **kwargs)
+
+        def cholesky_recording(a, *args, **kwargs):
+            try:
+                factor = sp_cholesky(a, *args, **kwargs)
+            except np.linalg.LinAlgError:
+                calls.append(("cholesky", a.shape[0], False))
+                raise
+            calls.append(("cholesky", a.shape[0], True))
+            return factor
 
         monkeypatch.setattr(np.linalg, "eigh", np_recording)
         monkeypatch.setattr(sla, "eigh", sp_recording)
+        monkeypatch.setattr(sla, "cholesky", cholesky_recording)
         trace = reduce(parent, ReducerConfig(strategy, max_order=8, track_error=True))
         assert trace.rows and all(math.isfinite(row.error_norm) for row in trace.rows)
-        assert [n for n, subset in calls if subset is None] == [parent.n]
-        guard = [(n, subset) for n, subset in calls if n > parent.n]
-        assert [n for n, _ in guard] == [parent.n + row.order for row in trace.rows]
+        eighs = [(n, subset) for kind, n, subset in calls if kind == "eigh"]
+        assert [n for n, subset in eighs if subset is None] == [parent.n]
+        guard = [(n, subset) for n, subset in eighs if n > parent.n]
         assert all(subset == (-np.inf, 0.0) for _, subset in guard)
+        sizes = [parent.n + row.order for row in trace.rows]
+        assert [n for kind, n, _ in calls if kind == "cholesky"] == sizes
+        for size in sizes:
+            factored = [ok for kind, n, ok in calls if kind == "cholesky" and n == size]
+            solves = [n for n, _ in guard if n == size]
+            assert len(solves) <= 1 and (factored[0] or len(solves) == 1)
+
+    @staticmethod
+    def run_max_error(g):
+        return reduce(g, ReducerConfig(SelectionStrategy.max_error(), max_order=8))
+
+    def test_positive_definite_gramians_skip_eigensolve(self, monkeypatch):
+        # Every error Gramian of this run passes the Cholesky certificate,
+        # so no (n + r)-sized eigensolve runs; without the certificate the
+        # guard solves for the non-positive eigenpairs and returns the same
+        # values.
+        g = random_stable(40, 3, 3, seed=42)
+        sizes = []
+        sp_eigh = sla.eigh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return sp_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigh", recording)
+        certified = self.run_max_error(g)
+        assert sizes == []
+
+        def failing(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(sla, "cholesky", failing)
+        plain = self.run_max_error(random_stable(40, 3, 3, seed=42))
+        assert sizes == [g.n + row.order for row in plain.rows]
+        got = [row.error_norm for row in certified.rows]
+        want = [row.error_norm for row in plain.rows]
+        assert all(math.isfinite(v) for v in got)
+        npt.assert_array_equal(got, want)
+
+    def test_ill_scaled_realization_reaches_eigensolve(self, monkeypatch, reduced):
+        # The cond-1e8 realization fails the certificate, so the guard's
+        # eigensolve runs and trips.
+        g, r = reduced
+        r_t = self.similar(r, np.logspace(0, -8, r.n))
+        sizes = []
+        sp_eigh = sla.eigh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return sp_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigh", recording)
+        with pytest.raises(IllConditionedLyapunov, match="rounding error"):
+            error_norm(g, r_t)
+        assert sizes == [g.n + r.n]
+
+
+def flat_trsyl(T, S, rhs, isgn=1, adjoint=True):
+    """One LAPACK trsyl call on the whole equation T X + isgn X op(S) = rhs."""
+    trsyl = sla.get_lapack_funcs("trsyl", (T, S, rhs))
+    tranb = ("T" if trsyl.typecode == "d" else "C") if adjoint else "N"
+    X, scale, _ = trsyl(T, S, rhs, tranb=tranb, isgn=isgn)
+    return X / scale
+
+
+def quasi_triangular(n, rng, sign=-1.0):
+    """Real upper quasi-triangular matrix with a 2 x 2 block across every split.
+
+    The recursion splits near the middle of each block above the leaf
+    size; a complex pair sits on each of those midpoints, so every split
+    must step past a block.  ``sign`` sets the half-plane of the spectrum.
+    """
+    T = np.triu(rng.standard_normal((n, n))) / math.sqrt(n)
+    T[np.diag_indices(n)] = sign * (1.0 + rng.random(n))
+
+    def place(lo, hi):
+        if hi - lo <= tanmor.gramians._SYLVESTER_LEAF:
+            return
+        h = lo + (hi - lo) // 2
+        a, w = T[h - 1, h - 1], 0.5 + rng.random()
+        T[h - 1 : h + 1, h - 1 : h + 1] = [[a, w], [-w, a]]
+        place(lo, h + 1)
+        place(h + 1, hi)
+
+    place(0, n)
+    return T
+
+
+class TestBlockedSylvester:
+    """The recursive blocked solve against one flat LAPACK trsyl call."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_real_quasi_triangular_splits_between_blocks(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        T = quasi_triangular(300, rng)
+        rhs = rng.standard_normal((300, 300))
+        crossed = []
+        split_point = tanmor.gramians._split_point
+
+        def recording(M):
+            crossed.append(M[M.shape[0] // 2, M.shape[0] // 2 - 1] != 0)
+            return split_point(M)
+
+        monkeypatch.setattr(tanmor.gramians, "_split_point", recording)
+        got = tanmor.gramians._blocked_trsyl(T, T, rhs)
+        assert len(crossed) > 4 and all(crossed)
+        self.assert_close(got, flat_trsyl(T, T, rhs))
+
+    def test_complex_triangular(self):
+        rng = np.random.default_rng(1)
+        n = 200
+        T = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(n)
+        T[np.diag_indices(n)] = -(1.0 + rng.random(n)) + 1j * rng.standard_normal(n)
+        rhs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        self.assert_close(tanmor.gramians._blocked_trsyl(T, T, rhs), flat_trsyl(T, T, rhs))
+
+    def test_rectangular_cross_term(self):
+        # The parent-by-model solve of error_norm: n x r with r small.
+        rng = np.random.default_rng(2)
+        T = quasi_triangular(270, rng)
+        S = quasi_triangular(8, rng)
+        rhs = rng.standard_normal((270, 8))
+        self.assert_close(tanmor.gramians._blocked_trsyl(T, S, rhs), flat_trsyl(T, S, rhs))
+
+    def test_coupling_solve(self):
+        # T11 Y - Y T22 = -T12 of the stable/antistable split (isgn = -1,
+        # S not transposed); both edges exceed the leaf size.
+        rng = np.random.default_rng(3)
+        T11 = quasi_triangular(150, rng)
+        T22 = quasi_triangular(90, rng, sign=1.0)
+        rhs = rng.standard_normal((150, 90))
+        got = tanmor.gramians._blocked_trsyl(T11, T22, rhs, isgn=-1, adjoint=False)
+        self.assert_close(got, flat_trsyl(T11, T22, rhs, isgn=-1, adjoint=False))
+
+    def test_flex_gramian_bit_identical_to_flat_solve(self, monkeypatch):
+        g = flex_structure_model()
+        blocked = controllability_gramian(g)
+        monkeypatch.setattr(tanmor.gramians, "_SYLVESTER_LEAF", g.n)
+        flat = controllability_gramian(flex_structure_model())
+        npt.assert_array_equal(blocked.theta, flat.theta)
+        assert blocked.residual == flat.residual
+
+    def test_scaled_leaf_falls_back_to_flat_solve(self, monkeypatch):
+        # trsyl returns scale < 1 when it shrinks a solution to avoid
+        # overflow; the halves would then disagree on scale, so the whole
+        # equation goes to one flat call.
+        rng = np.random.default_rng(4)
+        T = quasi_triangular(150, rng)
+        rhs = rng.standard_normal((150, 150))
+        want = flat_trsyl(T, T, rhs)
+        get_lapack_funcs = sla.get_lapack_funcs
+        shapes = []
+
+        def scaled_leaves(names, arrays):
+            trsyl = get_lapack_funcs(names, arrays)
+
+            def leaf(a, b, c, **kwargs):
+                shapes.append(c.shape)
+                x, scale, info = trsyl(a, b, c, **kwargs)
+                if c.shape == rhs.shape:
+                    return x, scale, info
+                return 0.5 * x, 0.5, info
+
+            leaf.typecode, leaf.dtype = trsyl.typecode, trsyl.dtype
+            return leaf
+
+        monkeypatch.setattr(sla, "get_lapack_funcs", scaled_leaves)
+        got = tanmor.gramians._blocked_trsyl(T, T, rhs)
+        assert len(shapes) == 2 and shapes[-1] == rhs.shape
+        npt.assert_array_equal(got, want)

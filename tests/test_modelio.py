@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 import scipy.io
 
+from tanmor import modelio
 from tanmor import (
     InvariantViolation,
     IoError,
@@ -168,6 +169,77 @@ C = 1.0
         f.write_text("A = 0 1\n-1 0\nB = 1\n0\nC = 1 0\n")
         with pytest.raises(InvariantViolation):
             load_model(f)
+
+
+def python_parse(token):
+    """The reference parse of one token: complex() if it has a j, else float()."""
+    return complex(token) if "j" in token.lower() else float(token)
+
+
+def parse_block(rows):
+    """Matrix A of a dense text whose A block holds ``rows`` of tokens."""
+    text = "A =\n" + "\n".join(" ".join(row) for row in rows) + "\nB = 1\nC = 1\n"
+    return modelio._parse_dense(text, "block.txt")[0]["A"]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestDenseValues:
+    """A block parses bit for bit as float() and complex() parse its tokens."""
+
+    @staticmethod
+    def every_exponent(rng):
+        # One double per biased exponent, subnormals included, with random
+        # mantissas and signs.
+        exponent = np.arange(2047, dtype=np.uint64)
+        mantissa = rng.integers(0, 2**52, size=exponent.size, dtype=np.uint64)
+        sign = rng.integers(0, 2, size=exponent.size, dtype=np.uint64)
+        bits = (sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa
+        return bits.view(np.float64).tolist()
+
+    def test_random_doubles_of_every_exponent(self):
+        values = self.every_exponent(np.random.default_rng(0))
+        tokens = [
+            fmt.format(v)
+            for v in values
+            for fmt in ("{:.17g}", "{!r}", "{:.6e}", "{:.3E}", "{:+.20g}")
+        ]
+        tokens += ["inf", "-inf", "nan", "-nan", "Infinity", "+.5e+3", "5.", "1e400", "-1e-400"]
+        tokens += ["0"] * (-len(tokens) % 10)
+        rows = [tokens[i : i + 10] for i in range(0, len(tokens), 10)]
+        assert_same_bits(parse_block(rows), np.array([[float(t) for t in row] for row in rows]))
+
+    def test_complex_entries(self):
+        rng = np.random.default_rng(1)
+        real, imag = self.every_exponent(rng), self.every_exponent(rng)[::-1]
+        tokens = [f"{a!r}{b:+.17g}j" for a, b in zip(real, imag)]
+        tokens += [f"{b!r}j" for b in imag[:100]] + [repr(a) for a in real[:100]]
+        tokens += ["-0.0", "nan", "-0j", "-2j", "1-0j", "nan+nanj", "inf-infj", "1e5+1e-5j"]
+        tokens = list(rng.permutation(tokens))
+        tokens += ["0"] * (-len(tokens) % 8)
+        rows = [tokens[i : i + 8] for i in range(0, len(tokens), 8)]
+        want = np.array([[python_parse(t) for t in row] for row in rows])
+        assert want.dtype == np.complex128
+        assert_same_bits(parse_block(rows), want)
+
+    @pytest.mark.parametrize(
+        "token", ["1_000.5", "2.5+1J", "(1+2j)", "1-j", "1e5J"]
+    )
+    def test_tokens_only_python_reads(self, token):
+        rows = [[token, "1.5j"], ["-0.5", "2"]]
+        want = np.array([[python_parse(t) for t in row] for row in rows])
+        assert_same_bits(parse_block(rows), want)
+
+    @pytest.mark.parametrize("token", ["(1)", "1+-2j", "1++2j", "(-0.5)"])
+    def test_tokens_python_rejects_stay_rejected(self, tmp_path, token):
+        f = tmp_path / "lenient.txt"
+        f.write_text(f"A = -1 1j\n2 {token}\nB = 1\n1\nC = 1 1\n")
+        with pytest.raises(ParseError, match="cannot parse number") as err:
+            load_model(f)
+        assert err.value.line == 2
 
 
 class TestMatrixMarket:
