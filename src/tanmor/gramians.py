@@ -36,7 +36,14 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import IllConditionedLyapunov, NonzeroFeedthrough, PeakSearchNotConverged
-from .lti import StateSpace, _dense_response_slope, _evaluator, eval_tf, series_sub
+from .lti import (
+    StateSpace,
+    _dense_response_slope,
+    _evaluator,
+    _schur_form,
+    eval_tf,
+    series_sub,
+)
 
 __all__ = [
     "GramianResult",
@@ -150,6 +157,9 @@ def controllability_gramian(sys: StateSpace) -> GramianResult:
     context exists (it does during :func:`tanmor.reduce` and after
     :func:`error_norm` against it), the split is kept there, so the
     Gramian and every error norm against ``sys`` share one Schur form.
+    That form is the one the response evaluator of ``sys`` is built from,
+    when ``sys`` has it cached; a system with none computes its form and
+    keeps nothing.
 
     Raises
     ------
@@ -190,8 +200,14 @@ class _SchurSplit(NamedTuple):
         return self.Q @ np.vstack([M[:k] + self.Y @ M[k:], M[k:]])
 
 
-def _schur_split(sys: StateSpace, output: str) -> _SchurSplit:
+def _schur_split(sys: StateSpace, output: str, keep: bool = False) -> _SchurSplit:
     """Decoupled ordered Schur form of ``sys``; ``output`` is "real" or "complex".
+
+    When ``output`` is the field of ``sys``, the Schur form is the one
+    cached per system in :mod:`tanmor.lti` (see :func:`tanmor.lti._schur_form`,
+    which also keeps a new one when ``keep`` is set), so the Gramian and
+    the response evaluator share one factorization.  Another field computes
+    its own form.
 
     Raises
     ------
@@ -203,6 +219,8 @@ def _schur_split(sys: StateSpace, output: str) -> _SchurSplit:
     if sys.n == 0:
         dtype = np.float64 if output == "real" else np.complex128
         T, Q, k = np.zeros((0, 0), dtype=dtype), np.zeros((0, 0), dtype=dtype), 0
+    elif output == sys.scalar_field:
+        T, Q, k = _schur_form(sys, keep)
     else:
         T, Q, k = sla.schur(A, output=output, sort="lhp")
     T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
@@ -344,18 +362,23 @@ def _split_gramian(split: _SchurSplit, bbh: np.ndarray, tol: float) -> tuple[np.
 class _ParentContext:
     """Parent-only quantities of one system, each computed at most once.
 
-    Holds the Gramian (with its PSD factor), a memo of responses
-    w -> G(jw) that :mod:`tanmor.selection` fills, and the decoupled Schur
-    split in each form asked for; the Gramian and every error norm against
-    the parent read the same split.  The poles are those of the response
-    evaluator in :mod:`tanmor.lti`, so one eigendecomposition serves the
-    responses, the poles and the Gramian's imaginary-axis check.  It holds no
-    reference to the system itself, so the weak-keyed cache below lets a
-    parent (and all of this) go once callers drop it.
+    Holds the Gramian (with its PSD factor), the summed squared norms of
+    its decoupled diagonal blocks that the rounding guard of
+    :func:`error_norm` reads, a memo of responses w -> G(jw) that
+    :mod:`tanmor.selection` fills, and the decoupled Schur split in each
+    form asked for; the Gramian and every error norm against the parent
+    read the same split.  The poles are those of the response evaluator in
+    :mod:`tanmor.lti`, which takes its eigendecomposition from the parent's
+    cached ordered Schur form, the one the split in the parent's own field
+    is built on: one Schur form serves the responses, the poles, the
+    Gramian's imaginary-axis check and the Gramian.  It holds no reference
+    to the system itself, so the weak-keyed cache below lets a parent (and
+    all of this) go once callers drop it.
     """
 
     def __init__(self):
         self._gramian: GramianResult | None = None
+        self._blocks: float | None = None
         self._splits: dict[str, _SchurSplit] = {}
         self.responses: dict[float, np.ndarray] = {}
 
@@ -364,6 +387,12 @@ class _ParentContext:
             self.poles(g)  # builds the evaluator, whose eigenvalues g.poles() reuses
             self._gramian = controllability_gramian(g)
         return self._gramian
+
+    def blocks(self, g: StateSpace) -> float:
+        """Summed squared norms of the decoupled diagonal blocks of g (see :func:`_block_norms`)."""
+        if self._blocks is None:
+            self._blocks = _block_norms(g.A, g.C, self.gramian(g).theta)
+        return self._blocks
 
     def poles(self, g: StateSpace) -> np.ndarray:
         """Eigenvalues of A, from the response evaluator's factorization."""
@@ -374,7 +403,7 @@ class _ParentContext:
     def split(self, g: StateSpace, output: str) -> _SchurSplit:
         """Schur split in ``output`` ("real" or "complex") form."""
         if output not in self._splits:
-            self._splits[output] = _schur_split(g, output)
+            self._splits[output] = _schur_split(g, output, keep=True)
         return self._splits[output]
 
 
@@ -397,20 +426,21 @@ def h2_norm_sq(sys: StateSpace, strict_proper: bool = False) -> float:
     solves are recursive and blocked.  It is positive semidefinite in exact
     arithmetic, so the part of the trace carried by its negative
     eigenvalues is rounding error, and the positive part carries error of
-    the same size.  A Cholesky factorization of Theta is tried first: when
-    it completes, it bounds that error (see :func:`_checked_trace`), and a
-    bound below 1e-6 times the value settles the check with no
-    eigensolve, as it does for positive-definite Gramians of well-scaled
-    systems.  Otherwise only the eigenpairs of Theta in (-inf, 0] are
-    computed for the estimate.  A badly scaled realization
-    (huge output map, nearly dependent modes) can make that error swamp the
-    value, even with every solve passing its residual check.  Such a value
-    is rejected rather than returned: the call raises when the magnitude of
-    the negative part exceeds 1e-6 times the larger of the value and the
-    summed squared norms of the decoupled diagonal blocks of A.  For an
-    error system ``series_sub(g, r)`` those are the blocks of g and of r,
-    so a model that matches g to rounding level measures as zero instead
-    of being rejected.  A Theta or trace that is not finite is rejected too.
+    the same size.  A badly scaled realization (huge output map, nearly
+    dependent modes) can make that error swamp the value, even with every
+    solve passing its residual check.  Such a value is rejected rather than
+    returned: the call raises when the magnitude of the negative part
+    exceeds 1e-6 times the larger of the value and the summed squared norms
+    of the decoupled diagonal blocks of A.  For an error system
+    ``series_sub(g, r)`` those are the blocks of g and of r, so a model
+    that matches g to rounding level measures as zero instead of being
+    rejected.  A Cholesky factorization of Theta plus a small diagonal
+    shift is tried first: when the shift is small enough and the
+    factorization completes, it bounds that error below the threshold (see
+    :func:`_checked_trace`), which settles the check with no eigensolve,
+    for semidefinite Gramians as well as definite ones.  Otherwise only the
+    eigenpairs of Theta in (-inf, 0] are computed for the estimate.  A
+    Theta or trace that is not finite is rejected too.
 
     Parameters
     ----------
@@ -440,32 +470,62 @@ def h2_norm_sq(sys: StateSpace, strict_proper: bool = False) -> float:
     return max(_checked_trace(sys, controllability_gramian(sys).theta), 0.0)
 
 
-def _checked_trace(sys: StateSpace, theta: np.ndarray) -> float:
+def _block_norms(A: np.ndarray, C: np.ndarray, theta: np.ndarray) -> float:
+    """Summed |trace(C_b Theta_bb C_b*)| over the decoupled diagonal blocks b of A.
+
+    Diagonal blocks of A with no coupling entries are subsystems in
+    parallel.  The trace is the sum of their squared norms plus cross
+    terms, and the cross terms cancel them when the subsystems nearly
+    cancel (g - r with r close to g); rounding error is relative to the
+    blocks, not to the sum.  A block ends at state i when no state up to i
+    is coupled to a state after i.  The blocks of ``series_sub(g, r)`` are
+    those of g and of r, so its sum is the sum of theirs.
+    """
+    n = A.shape[0]
+    if n == 0:
+        return 0.0
+    idx = np.arange(n)
+    linked = (A != 0) | (A != 0).T
+    ends = np.maximum.accumulate(np.where(linked, idx, idx[:, None]).max(axis=1))
+    labels = np.concatenate([[0], np.cumsum(ends[:-1] == idx[:-1])])
+    same = labels[:, None] == labels[None, :]
+    terms = np.real(theta * (C.conj().T @ C).T)
+    rows = np.broadcast_to(labels[:, None], same.shape)
+    return float(np.abs(np.bincount(rows[same], weights=terms[same])).sum())
+
+
+def _checked_trace(sys: StateSpace, theta: np.ndarray, blocks: float | None = None) -> float:
     """trace(C Theta C*), raising when it is not finite or rounding error swamps it.
 
-    A Cholesky factorization of Theta is tried first.  When it runs to
-    completion, Theta + E = R* R is positive semidefinite with
-    |E_ij| <= g sqrt(theta_ii theta_jj), g = gamma_{N+1} / (1 - gamma_{N+1})
-    and gamma_k = k u / (1 - k u), u = eps / 2 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, section 10.1), so every
-    eigenvalue of the N x N Theta is at least -||E||_2 >= -g tr(Theta),
-    about -(N + 1) u tr(Theta).  The eigensolve below moves the
-    eigenvalues it computes by some p(N) u ||Theta||_2 more.  The code
-    assumes p(N) <= 2N; that allowance is not a proven bound for
+    The threshold is tau = 1e-6 max(value, blocks), where ``blocks`` is
+    :func:`_block_norms` of ``sys`` and Theta; a caller that knows it (an
+    error system, whose blocks are those of g and r) passes it in.
+
+    A certificate is tried first.  With delta = tau / (2 ||C||_F^2), when
+    (delta + 2 N eps (tr(Theta) + N delta)) ||C||_F^2 <= tau, Theta + delta I
+    is factored by Cholesky; if that completes, the value is returned with
+    no eigensolve.  The argument: completion gives Theta + delta I + E =
+    R* R with |E_ij| <= g sqrt((theta_ii + delta)(theta_jj + delta)),
+    g = gamma_{N+1} / (1 - gamma_{N+1}) and gamma_k = k u / (1 - k u),
+    u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 10.1), so every eigenvalue of the N x N Theta is at least
+    -delta - g tr(Theta + delta I), with g about (N + 1) u.  The eigensolve
+    below moves the eigenvalues it computes by some p(N) u ||Theta||_2 more.
+    The code assumes p(N) <= 2N; that allowance is not a proven bound for
     xSYEVR/xHEEVR, whose documented backward error carries an unspecified
     modest p(N).  Under it, every computed eigenvalue is at least
-    -c N eps tr(Theta) with c = 2.  The rounding estimate sums
-    -lambda ||C v||^2 over orthonormal v, so it is at most
-    c N eps tr(Theta) ||C||_F^2.  When that bound is at most 1e-6 times the
-    value, the eigensolve path would not raise either, provided its
-    rounding stays within the allowance, so the value is returned with no
-    eigensolve: a positive-definite Theta skips it.
+    -delta - 2 N eps (tr(Theta) + N delta), and the rounding estimate, which
+    sums -lambda ||C v||^2 over orthonormal v, is at most that bound times
+    ||C||_F^2, so at most tau: the eigensolve path would return the same
+    value.  The shift lets a semidefinite Theta (a Gramian with eigenvalues
+    at rounding level around zero) be certified, not only a definite one.
+    The bound is checked before factoring, so a Theta that cannot be
+    certified pays for no factorization.
 
     Otherwise only the eigenpairs of Theta in (-inf, 0] are computed
     (LAPACK's range-selected xSYEVR/xHEEVR): the rounding-error estimate
     uses those with a negative eigenvalue and nothing else of the spectrum,
-    and the summed block norms it is judged against are formed only when
-    that estimate is positive.
+    and the call raises when it exceeds tau.
     """
     C = sys.C
     value = float(np.real(np.trace(C @ theta @ C.conj().T)))
@@ -473,38 +533,30 @@ def _checked_trace(sys: StateSpace, theta: np.ndarray) -> float:
         raise IllConditionedLyapunov(
             f"squared H2 norm {value:.6g} or its Gramian is not finite"
         )
-    try:
-        sla.cholesky(theta, check_finite=False)
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        # c N eps tr(Theta) ||C||_F^2 with c = 2 bounds the estimate
-        # under the assumed eigensolver allowance p(N) <= 2N.
-        bound = 2.0 * theta.shape[0] * np.finfo(float).eps * np.real(np.trace(theta))
-        if bound * np.linalg.norm(C, "fro") ** 2 <= _H2_NOISE_RTOL * value:
+    if blocks is None:
+        blocks = _block_norms(sys.A, C, theta)
+    tau = _H2_NOISE_RTOL * max(value, blocks)
+    c2 = float(np.linalg.norm(C, "fro")) ** 2
+    if c2 == 0.0:
+        return value  # C = 0: no eigenpair can carry an estimate
+    n = theta.shape[0]
+    delta = tau / (2.0 * c2)
+    allowance = 2.0 * n * np.finfo(float).eps * (np.real(np.trace(theta)) + n * delta)
+    if (delta + allowance) * c2 <= tau:
+        shifted = theta.copy()
+        shifted.flat[:: n + 1] += delta
+        try:
+            sla.cholesky(shifted, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            pass
+        else:
             return value
     lam, V = sla.eigh(
         theta, subset_by_value=(-np.inf, 0.0), driver="evr", check_finite=False
     )
     neg = lam < 0
     noise = -float(lam[neg] @ np.sum(np.abs(C @ V[:, neg]) ** 2, axis=0))
-    if not noise > 0.0:
-        return value
-    # Diagonal blocks of A with no coupling entries are subsystems in
-    # parallel.  The trace is the sum of their squared norms plus cross
-    # terms, and the cross terms cancel them when the subsystems nearly
-    # cancel (g - r with r close to g); rounding error is relative to the
-    # blocks, not to the sum.  A block ends at state i when no state up to
-    # i is coupled to a state after i.
-    idx = np.arange(sys.n)
-    linked = (sys.A != 0) | (sys.A != 0).T
-    ends = np.maximum.accumulate(np.where(linked, idx, idx[:, None]).max(axis=1))
-    labels = np.concatenate([[0], np.cumsum(ends[:-1] == idx[:-1])])
-    same = labels[:, None] == labels[None, :]
-    terms = np.real(theta * (C.conj().T @ C).T)
-    rows = np.broadcast_to(labels[:, None], same.shape)
-    blocks = float(np.abs(np.bincount(rows[same], weights=terms[same])).sum())
-    if noise > _H2_NOISE_RTOL * max(value, blocks):
+    if noise > tau:
         raise IllConditionedLyapunov(
             f"squared H2 norm {value:.6g} carries rounding error of about "
             f"{noise:.3e}, above {_H2_NOISE_RTOL:g} * max(value, summed "
@@ -744,14 +796,20 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     block solve must leave a residual below 1e-8 times ||B B*||_F of the
     error system.
 
+    The split of r is kept in the Schur-form cache of :mod:`tanmor.lti`
+    when it is in r's own field, so the response evaluator that the next
+    selection step builds for r starts from it: each reduced model is
+    Schur-factored once.
+
     A value swamped by rounding error (a badly scaled realization of r)
-    raises, as described in :func:`h2_norm_sq`.  A positive-definite
-    Theta whose Cholesky factorization certifies the value skips the
-    guard's eigensolve; any other Theta gets the range-selected
-    eigensolve of its non-positive eigenpairs.  The decoupled diagonal
+    raises, as described in :func:`h2_norm_sq`.  The decoupled diagonal
     blocks of the error system are those of g and of r, so the rounding
     error is judged against their squared norms rather than against the
-    (possibly tiny) error.
+    (possibly tiny) error; g's sum is kept in the per-parent context and
+    r's comes from Theta_r, so no (n + r)-sized block sum is formed.  A
+    Theta whose shifted Cholesky factorization certifies the value skips
+    the guard's eigensolve, semidefinite or not; any other Theta gets the
+    range-selected eigensolve of its non-positive eigenpairs.
 
     Parameters
     ----------
@@ -784,7 +842,7 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     theta_g = ctx.gramian(g).theta
     r.assert_no_imaginary_poles()
     output = "real" if err.is_real else "complex"
-    gs, rs = ctx.split(g, output), _schur_split(r, output)
+    gs, rs = ctx.split(g, output), _schur_split(r, output, keep=True)
 
     # ||B B*||_F of the error system, from the q x q Gram matrix.
     bbh_norm = np.linalg.norm(g.B.conj().T @ g.B + r.B.conj().T @ r.B, "fro")
@@ -800,4 +858,5 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     )
     X = gs.to_state(rs.to_state(M.conj().T).conj().T)
     theta = np.block([[theta_g, X], [X.conj().T, theta_r]])
-    return ErrorEstimate(math.sqrt(max(_checked_trace(err, theta), 0.0)), False)
+    blocks = ctx.blocks(g) + _block_norms(r.A, r.C, theta_r)
+    return ErrorEstimate(math.sqrt(max(_checked_trace(err, theta, blocks), 0.0)), False)

@@ -5,7 +5,11 @@ realization with an explicit real/complex scalar-field tag.  :func:`eval_tf`
 is a dense solve against ``sI - A``; sweeps and row solves go through a
 per-system evaluator built once, from the eigendecomposition of A (K
 frequencies in one O(K n p q) product) or, when its eigenvectors are ill
-conditioned, from the complex Schur form (O(n^2) per frequency).
+conditioned, from the complex Schur form (O(n^2) per frequency).  A system
+that keeps per-system state (the evaluator, the per-parent context of
+:mod:`tanmor.gramians`, a reduced model whose error is measured) also keeps
+one ordered Schur form of A, from which its eigendecomposition and its
+Gramian are both taken.
 """
 
 from __future__ import annotations
@@ -318,6 +322,52 @@ def eval_tf(sys: StateSpace, s: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_SCHUR_FORMS: "weakref.WeakKeyDictionary[StateSpace, tuple[np.ndarray, np.ndarray, int]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _schur_form(sys: StateSpace, keep: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
+    """Ordered Schur form (T, Q, k) of A = Q T Q* in the field of ``sys`` (n >= 1).
+
+    ``schur(A, output=sys.scalar_field, sort="lhp")``: the k poles in the
+    open left half-plane lead T.  A cached form is reused; a new one is
+    cached, read-only and without a reference to ``sys``, only when
+    ``keep`` is set.  Callers that keep per-system state set it (the
+    evaluator, the per-parent context, a reduced model in
+    :func:`tanmor.error_norm`), so a one-off Gramian of any other system
+    leaves nothing behind.
+    """
+    form = _SCHUR_FORMS.get(sys)
+    if form is None:
+        T, Q, k = sla.schur(sys.A, output=sys.scalar_field, sort="lhp")
+        form = _seal(T, Q, k)
+        if keep:
+            _SCHUR_FORMS[sys] = form
+    return form
+
+
+def _seal(T: np.ndarray, Q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The form (T, Q, k) with T and Q made read-only, as the cache holds it."""
+    T.setflags(write=False)
+    Q.setflags(write=False)
+    return T, Q, k
+
+
+def _seed_adjoint_schur_form(sys: StateSpace, dual: StateSpace) -> None:
+    """Cache for ``dual`` (A* of ``sys``) the form flipped from that of a stable ``sys``.
+
+    With J the index reversal, A* = (Q J)(J T* J)(Q J)*, and J T* J is upper
+    (quasi-)triangular again; every pole stays in the open left half-plane,
+    so the form is ordered.  Nothing is cached unless ``sys`` has a cached
+    form whose poles all lie there.
+    """
+    form = _SCHUR_FORMS.get(sys)
+    if form is not None and form[2] == sys.n:
+        T, Q, k = form
+        _SCHUR_FORMS[dual] = _seal(T.conj().T[::-1, ::-1].copy(), Q[:, ::-1].copy(), k)
+
+
 class _Evaluator:
     """Factors of one system for repeated resolvent evaluations.
 
@@ -326,10 +376,24 @@ class _Evaluator:
     otherwise M = T and Q unitary from the complex Schur form.  With
     Bt = Q^-1 B and Ct = C Q, G(s) = Ct (sI - M)^-1 Bt + D: one O(K n p q)
     product for K frequencies, or one O(n^2) triangular solve each.
+
+    The eigendecomposition is taken from the system's ordered Schur form
+    A = Q_s T Q_s* (see :func:`_schur_form`): lam and W from ``eig(T)``,
+    then V = Q_s W, the back-transform LAPACK's xGEEV ends with itself.  So
+    a system is Schur-factored once, for its responses and its Gramian.
+    The Schur path of a complex system is that same form; a real system
+    computes its complex Schur form.
     """
 
     def __init__(self, sys: StateSpace):
-        lam, V = np.linalg.eig(sys.A)
+        T, Q, _ = _schur_form(sys, keep=True)
+        lam, W = np.linalg.eig(T)
+        if np.iscomplexobj(W) and not np.iscomplexobj(Q):
+            # Real Q times complex W: one real product on W's interleaved parts.
+            V = (Q @ np.ascontiguousarray(W).view(Q.dtype)).view(W.dtype)
+        else:
+            V = Q @ W
+        del W
         try:
             Vinv = np.linalg.inv(V)
             cond = np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1)
@@ -338,9 +402,11 @@ class _Evaluator:
         if cond <= MODAL_COND_MAX:
             self.T, self.Q, self.Qinv = None, V, Vinv
         else:
-            self.T, self.Q = sla.schur(sys.A, output="complex")
-            self.Qinv = self.Q.conj().T
-            lam = np.diag(self.T)
+            if sys.is_real:
+                T, Q = sla.schur(sys.A, output="complex")
+            self.T, self.Q = T, Q
+            self.Qinv = Q.conj().T
+            lam = np.diag(T)
         self.lam = lam
         self.Bt = self.Qinv @ sys.B
         self.Ct = sys.C @ self.Q
@@ -459,8 +525,9 @@ def freq_sweep(sys: StateSpace, omegas) -> list[FreqResponse]:
     system lives): by its eigendecomposition, which evaluates all
     frequencies in one product, or, when the eigenvector matrix has
     condition above ``MODAL_COND_MAX``, by its complex Schur form, one
-    triangular solve per frequency.  A real system at omega = 0 gets the
-    dense real solve of :func:`eval_tf`.
+    triangular solve per frequency.  The eigendecomposition comes from the
+    system's cached ordered Schur form, which its Gramian reads too.  A
+    real system at omega = 0 gets the dense real solve of :func:`eval_tf`.
 
     Parameters
     ----------
@@ -489,10 +556,10 @@ def resolvent_rows(sys: StateSpace, s: complex, rows: np.ndarray) -> np.ndarray:
     """Compute ``rows @ (s I - A)^{-1}`` through the cached factorization.
 
     That is ``rows V diag(1/(s - lam)) V^-1`` from the eigendecomposition
-    of A, or triangular solves on its complex Schur form, as chosen in
-    :func:`freq_sweep`.  For a real system at real ``s`` with real rows the
-    computation is a dense solve in real arithmetic and the result is a
-    real array.
+    of A (taken from its cached ordered Schur form), or triangular solves
+    on its complex Schur form, as chosen in :func:`freq_sweep`.  For a real
+    system at real ``s`` with real rows the computation is a dense solve in
+    real arithmetic and the result is a real array.
 
     Raises
     ------

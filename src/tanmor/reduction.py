@@ -29,7 +29,7 @@ from .interpolation import (
     realize_r,
     truncated_point,
 )
-from .lti import StateSpace, is_strictly_stable
+from .lti import StateSpace, _seed_adjoint_schur_form, is_strictly_stable
 from .selection import (
     SelectionStrategy,
     SplitMix64,
@@ -283,7 +283,8 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
 
 
 def _balancing_svd(sys: StateSpace):
-    # The observability Gramian is the controllability Gramian of the dual.
+    # The observability Gramian is the controllability Gramian of the dual,
+    # whose Schur form is the parent's, flipped (no second factorization).
     dual = StateSpace(
         sys.A.conj().T,
         sys.C.conj().T,
@@ -292,6 +293,7 @@ def _balancing_svd(sys: StateSpace):
         scalar_field=sys.scalar_field,
     )
     Lp = _parent_context(sys).gramian(sys).factor
+    _seed_adjoint_schur_form(sys, dual)
     Lq = controllability_gramian(dual).factor
     U, s, Vh = np.linalg.svd(Lq.conj().T @ Lp)
     return Lp, Lq, U, s, Vh

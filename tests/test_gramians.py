@@ -438,6 +438,99 @@ class TestRoundingGuard:
         assert all(math.isfinite(v) for v in got)
         npt.assert_array_equal(got, want)
 
+    def test_semidefinite_gramians_skip_eigensolve(self, monkeypatch):
+        # The benchmark's mixed parent: its Gramian has eigenvalues at
+        # rounding level around zero, so a plain Cholesky factorization of
+        # an error Gramian (whose leading block it is) fails, but the shifted
+        # one certifies rows.  Every value matches the run without any
+        # certificate bit for bit.
+        def run(parent):
+            strategy = SelectionStrategy.discrete(omega_min=1e-2, omega_max=1e2, K=200)
+            return reduce(parent, ReducerConfig(strategy, max_order=12, track_error=True))
+
+        def make():
+            return random_mixed(100, 40, 3, 3, seed=7, field="complex")
+
+        with pytest.raises(np.linalg.LinAlgError):
+            sla.cholesky(controllability_gramian(make()).theta)
+        sizes = []
+        sp_eigh = sla.eigh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return sp_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigh", recording)
+        certified = run(make())
+        rows = [make().n + row.order for row in certified.rows]
+        assert len(sizes) < len(rows) and set(sizes) <= set(rows)
+
+        def failing(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(sla, "cholesky", failing)
+        sizes.clear()
+        plain = run(make())
+        assert sizes == rows
+        got = [row.error_norm for row in certified.rows]
+        want = [row.error_norm for row in plain.rows]
+        assert all(math.isfinite(v) for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_rank_deficient_gramian_is_certified(self, monkeypatch):
+        # A rank-3 PSD Theta of order 6 has no plain Cholesky factor, but
+        # the shifted factorization certifies its trace with no eigensolve.
+        sys = random_stable(6, 2, 2, seed=30)
+        L = np.random.default_rng(5).standard_normal((6, 3))
+        theta = L @ L.T
+        with pytest.raises(np.linalg.LinAlgError):
+            sla.cholesky(theta)
+
+        def failing(*args, **kwargs):
+            raise AssertionError("the certificate should have settled the check")
+
+        monkeypatch.setattr(sla, "eigh", failing)
+        got = tanmor.gramians._checked_trace(sys, theta)
+        assert got == float(np.trace(sys.C @ theta @ sys.C.T))
+
+    def test_block_norms_certify_a_small_error(self, monkeypatch):
+        # An error far below the parent's norm: the threshold 1e-6 times the
+        # value alone is below the certificate's bound, but 1e-6 times the
+        # summed block norms (those of g and r) is not, so no eigensolve runs,
+        # and the value is the eigensolve path's.
+        g = random_stable(20, 2, 2, seed=43)
+        r = balanced_truncation(g, 11)
+        err = series_sub(g, r)
+        theta = controllability_gramian(err).theta
+        value = float(np.trace(err.C @ theta @ err.C.T))
+        bound = 2 * err.n * np.finfo(float).eps * np.trace(theta) * np.linalg.norm(err.C) ** 2
+        assert bound > 1e-6 * value
+        sizes = []
+        sp_eigh = sla.eigh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return sp_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigh", recording)
+        got = error_norm(g, r).value
+        assert sizes == []
+
+        def failing(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(sla, "cholesky", failing)
+        assert error_norm(g, r).value == got
+        assert sizes == [err.n]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_zero_order_model(self, field):
+        # r with no states: the error is g itself, and r adds no block norms.
+        g = random_stable(10, 2, 3, seed=31, field=field)
+        r = StateSpace.constant(np.zeros((2, 3)), scalar_field=field)
+        got = error_norm(g, r).value
+        npt.assert_allclose(got**2, h2_norm_sq(g), rtol=1e-12)
+
     def test_ill_scaled_realization_reaches_eigensolve(self, monkeypatch, reduced):
         # The cond-1e8 realization fails the certificate, so the guard's
         # eigensolve runs and trips.

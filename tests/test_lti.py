@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 import tanmor.lti
 from tanmor import (
@@ -15,6 +16,7 @@ from tanmor import (
     SelectionStrategy,
     SingularResolvent,
     StateSpace,
+    controllability_gramian,
     eval_tf,
     freq_sweep,
     is_strictly_stable,
@@ -23,7 +25,17 @@ from tanmor import (
     series_sub,
 )
 
+from benchmarks import flex_structure_model
 from helpers import naive_tf, random_mixed, random_stable
+
+
+def mixed_benchmark_parent(seed):
+    """The mixed-complex benchmark parent: a seeded unitary realization of one spectrum."""
+    base = random_mixed(100, 40, 3, 3, seed=7, field="complex")
+    rng = np.random.default_rng(seed)
+    n = base.n
+    U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return StateSpace(U @ base.A @ U.conj().T, U @ base.B, base.C @ U.conj().T, base.D)
 
 
 def modal_cond(sys):
@@ -188,16 +200,15 @@ class TestEvaluator:
     # parents is 1.9e-15.
     MODAL_RTOL = 1e-13
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda s: random_stable(12, 2, 3, seed=s, feedthrough=True),
-            lambda s: random_stable(12, 2, 3, seed=s, field="complex", feedthrough=True),
-            lambda s: random_mixed(8, 4, 2, 3, seed=s),
-            lambda s: random_mixed(8, 4, 2, 3, seed=s, field="complex"),
-        ],
-        ids=["real", "complex", "mixed-real", "mixed-complex"],
-    )
+    FIXTURES = [
+        lambda s: random_stable(12, 2, 3, seed=s, feedthrough=True),
+        lambda s: random_stable(12, 2, 3, seed=s, field="complex", feedthrough=True),
+        lambda s: random_mixed(8, 4, 2, 3, seed=s),
+        lambda s: random_mixed(8, 4, 2, 3, seed=s, field="complex"),
+    ]
+    FIXTURE_IDS = ["real", "complex", "mixed-real", "mixed-complex"]
+
+    @pytest.mark.parametrize("make", FIXTURES, ids=FIXTURE_IDS)
     def test_modal_matches_dense_within_cond_scaled_bound(self, make):
         omegas = np.concatenate([np.geomspace(1e-2, 1e2, 30), -np.geomspace(1e-2, 1e2, 5)])
         for seed in range(5):
@@ -207,6 +218,39 @@ class TestEvaluator:
                 want = eval_tf(sys, 1j * resp.omega)
                 gap = np.linalg.norm(resp.value - want) / np.linalg.norm(want)
                 assert gap <= bound, f"seed {seed}, omega {resp.omega}: {gap:.2e}"
+
+    @pytest.mark.parametrize("make", FIXTURES, ids=FIXTURE_IDS)
+    def test_eigenpairs_from_schur_form_match_eig(self, make):
+        # lam and V = Q W, W from eig(T) of the cached Schur form, against
+        # eig(A): the same eigenvalues, the same unit eigenvectors up to
+        # phase, and a residual at rounding level.
+        for seed in range(5):
+            sys = make(seed)
+            ev = tanmor.lti._evaluator(sys)
+            V = ev.Q
+            scale = np.linalg.norm(sys.A, "fro") * np.linalg.norm(V, "fro")
+            assert np.linalg.norm(sys.A @ V - V * ev.lam, "fro") <= 1e-13 * scale
+            lam, W = np.linalg.eig(sys.A)
+            order = [int(np.argmin(np.abs(lam - x))) for x in ev.lam]
+            assert sorted(order) == list(range(sys.n))
+            npt.assert_allclose(ev.lam, lam[order], rtol=1e-12)
+            overlap = np.abs(np.sum(V.conj() * W[:, order], axis=0))
+            npt.assert_allclose(overlap, 1.0, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda make=make, seed=seed: make(seed) for make in FIXTURES for seed in range(5)]
+        + [flex_structure_model, lambda: mixed_benchmark_parent(1)],
+        ids=[f"{name}-{seed}" for name in FIXTURE_IDS for seed in range(5)]
+        + ["flex-270", "mixed-complex-benchmark"],
+    )
+    def test_modal_choice_matches_eig_route(self, make):
+        # The evaluator takes the modal path exactly when eig(A)'s own
+        # eigenvector matrix passes the condition test.
+        sys = make()
+        lam, V = np.linalg.eig(sys.A)
+        cond = np.linalg.norm(V, 1) * np.linalg.norm(np.linalg.inv(V), 1)
+        assert (tanmor.lti._evaluator(sys).T is None) == (cond <= tanmor.lti.MODAL_COND_MAX)
 
     def test_poles_are_the_eigenvalues(self):
         sys = random_mixed(8, 4, 2, 3, seed=3)
@@ -295,6 +339,56 @@ class TestEvaluator:
         del sys
         gc.collect()
         assert ref() is None
+
+
+class TestSchurFormCache:
+    """The one ordered Schur form per system behind the evaluator and the Gramian."""
+
+    def test_evaluator_and_gramian_share_one_factorization(self, monkeypatch):
+        sys = random_mixed(8, 4, 2, 3, seed=2, field="complex")
+        seen = []
+        schur = scipy.linalg.schur
+
+        def counting(a, *args, **kwargs):
+            seen.append(a.shape[0])
+            return schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting)
+        freq_sweep(sys, [0.3, 2.0])
+        controllability_gramian(sys)
+        assert seen == [sys.n]
+        T, Q, k = tanmor.lti._SCHUR_FORMS[sys]
+        assert k == 8 and not T.flags.writeable and not Q.flags.writeable
+
+    def test_one_off_gramian_leaves_nothing_behind(self):
+        sys = random_stable(10, 2, 2, seed=3)
+        controllability_gramian(sys)
+        assert sys not in tanmor.lti._SCHUR_FORMS
+
+    def test_cache_releases_its_system(self):
+        sys = random_mixed(8, 4, 2, 3, seed=4)
+        ref = weakref.ref(sys)
+        freq_sweep(sys, [1.0])
+        assert sys in tanmor.lti._SCHUR_FORMS
+        del sys
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_adjoint_form_is_the_flipped_form(self, field):
+        # For a stable A = Q T Q*, A* = (Q J)(J T* J)(Q J)* with J the index
+        # reversal; the seeded form of the dual is an ordered Schur form of A*.
+        sys = random_stable(9, 2, 2, seed=6, field=field)
+        dual = StateSpace(sys.A.conj().T, sys.C.conj().T, sys.B.conj().T)
+        tanmor.lti._seed_adjoint_schur_form(sys, dual)
+        assert dual not in tanmor.lti._SCHUR_FORMS  # sys has no cached form
+        freq_sweep(sys, [1.0])
+        tanmor.lti._seed_adjoint_schur_form(sys, dual)
+        T, Q, k = tanmor.lti._SCHUR_FORMS[dual]
+        assert k == dual.n
+        assert np.all(np.tril(T, -2) == 0)
+        npt.assert_allclose(Q @ T @ Q.conj().T, dual.A, atol=1e-13 * np.linalg.norm(dual.A))
+        npt.assert_allclose(Q.conj().T @ Q, np.eye(dual.n), atol=1e-14)
 
 
 class TestResolventRows:

@@ -391,13 +391,17 @@ class TestReduce:
     def test_tracked_run_factors_parent_spectrum_once(self, monkeypatch):
         # The response evaluator's eigendecomposition also supplies the
         # poles of the parent (Gramian imaginary-axis check, max-error
-        # candidates): no separate eigvals of the parent in a run.
+        # candidates): no separate eigvals of the parent in a run.  It is
+        # taken from the parent's Schur form, so the one parent-sized eig
+        # sees the triangular factor, never A.
         sys = random_mixed(30, 10, 2, 2, seed=45, field="complex")
-        eig_orders, eigvals_orders = [], []
+        eig_orders, eigvals_orders, parent_eig_inputs = [], [], []
         eig, eigvals = np.linalg.eig, np.linalg.eigvals
 
         def counting_eig(a):
             eig_orders.append(a.shape[0])
+            if a.shape[0] == sys.n:
+                parent_eig_inputs.append(a)
             return eig(a)
 
         def counting_eigvals(a):
@@ -410,6 +414,46 @@ class TestReduce:
         assert len(trace.rows) >= 4
         assert eig_orders.count(sys.n) == 1
         assert sys.n not in eigvals_orders
+        (T,) = parent_eig_inputs
+        assert T is not sys.A and np.all(np.tril(T, -1) == 0)
+
+    @pytest.mark.parametrize(
+        "make_parent",
+        [
+            lambda: random_stable(40, 2, 2, seed=45),
+            lambda: random_mixed(30, 10, 2, 2, seed=45, field="complex"),
+        ],
+        ids=["stable-real", "mixed-complex"],
+    )
+    def test_tracked_run_schur_factors_each_model_once(self, monkeypatch, make_parent):
+        # error_norm keeps the Schur form of each model, and the next
+        # selection step builds the model's evaluator from it: no eig of A.
+        sys = make_parent()
+        seen, eig_inputs = [], []
+        schur, eig = scipy.linalg.schur, np.linalg.eig
+
+        def recording(a, *args, **kwargs):
+            seen.append(a)
+            return schur(a, *args, **kwargs)
+
+        def recording_eig(a):
+            eig_inputs.append(a)
+            return eig(a)
+
+        monkeypatch.setattr(scipy.linalg, "schur", recording)
+        monkeypatch.setattr(np.linalg, "eig", recording_eig)
+        cfg = ReducerConfig(
+            SelectionStrategy.discrete(K=80), max_order=12, rho=0.999, gamma_rel_tol=1e-300
+        )
+        trace = reduce(sys, cfg)
+        assert len(trace.rows) >= 5
+        assert all(np.isfinite(row.error_norm) for row in trace.rows)
+        assert [sum(a is row.model.A for a in seen) for row in trace.rows] == [1] * len(
+            trace.rows
+        )
+        assert sum(a is sys.A for a in seen) == 1
+        models = [sys.A] + [row.model.A for row in trace.rows]
+        assert not any(a is m for a in eig_inputs for m in models)
 
     def test_tracked_run_computes_each_model_spectrum_once(self, monkeypatch):
         # The stability flag, error_norm's imaginary-axis check and the
