@@ -38,6 +38,8 @@ import scipy.linalg as sla
 from .errors import IllConditionedLyapunov, NonzeroFeedthrough, PeakSearchNotConverged
 from .lti import (
     StateSpace,
+    _block_diag,
+    _check_io,
     _dense_response_slope,
     _evaluator,
     _schur_form,
@@ -99,10 +101,14 @@ class GramianResult:
     theta: np.ndarray
     residual: float
 
-    @functools.cached_property
+    @property
     def factor(self) -> np.ndarray:
         """PSD factor L with theta = L L*, computed on first use."""
-        return psd_factor(self.theta)
+        return self._eig_factor.L
+
+    @functools.cached_property
+    def _eig_factor(self) -> "_EigFactor":
+        return _eig_factor(self.theta)
 
 
 class PeakGain(NamedTuple):
@@ -134,11 +140,29 @@ def psd_factor(theta: np.ndarray) -> np.ndarray:
     Eigenvalues that dip slightly negative from roundoff are clipped to
     zero, so the factor is always well defined for Gramian-quality inputs.
     """
+    return _eig_factor(theta).L
+
+
+class _EigFactor(NamedTuple):
+    """L = V diag(s) from theta = V diag(lam) V*, with s^2 = max(lam, 0).
+
+    ``neg_lam`` and ``neg_V`` are the clipped eigenpairs (lam < 0).
+    """
+
+    L: np.ndarray
+    s2: np.ndarray
+    neg_lam: np.ndarray
+    neg_V: np.ndarray
+
+
+def _eig_factor(theta: np.ndarray) -> _EigFactor:
+    """The factor of :func:`psd_factor` with the eigenvalues it kept and clipped."""
     if theta.shape[0] == 0:
-        return theta.copy()
+        return _EigFactor(theta.copy(), np.zeros(0), np.zeros(0), theta.copy())
     lam, V = np.linalg.eigh(theta)
-    lam = np.clip(lam, 0.0, None)
-    return V * np.sqrt(lam)
+    neg = lam < 0
+    s2 = np.clip(lam, 0.0, None)
+    return _EigFactor(V * np.sqrt(s2), s2, lam[neg], V[:, neg])
 
 
 def controllability_gramian(sys: StateSpace) -> GramianResult:
@@ -364,7 +388,10 @@ class _ParentContext:
 
     Holds the Gramian (with its PSD factor), the summed squared norms of
     its decoupled diagonal blocks that the rounding guard of
-    :func:`error_norm` reads, a memo of responses w -> G(jw) that
+    :func:`error_norm` reads, the pieces of the factor that the r-sized
+    error norm reads (:class:`_ParentFactor`: C_g L_g, the noise level of
+    the factor's eigensolve and the parent's own rounding estimate, all
+    from that one eigensolve), a memo of responses w -> G(jw) that
     :mod:`tanmor.selection` fills, and the decoupled Schur split in each
     form asked for; the Gramian and every error norm against the parent
     read the same split.  The poles are those of the response evaluator in
@@ -379,6 +406,7 @@ class _ParentContext:
     def __init__(self):
         self._gramian: GramianResult | None = None
         self._blocks: float | None = None
+        self._factor: _ParentFactor | None = None
         self._splits: dict[str, _SchurSplit] = {}
         self.responses: dict[float, np.ndarray] = {}
 
@@ -393,6 +421,26 @@ class _ParentContext:
         if self._blocks is None:
             self._blocks = _block_norms(g.A, g.C, self.gramian(g).theta)
         return self._blocks
+
+    def factor_parts(self, g: StateSpace) -> "_ParentFactor":
+        """The Gramian factor of g with what :func:`_factored_trace` reads of it."""
+        if self._factor is None:
+            parts = self.gramian(g)._eig_factor
+            L, C = parts.L, g.C
+            # Eigenvalues within the largest clipped one of zero are as much
+            # rounding noise as that one.
+            level = max(-float(parts.neg_lam.min()), 0.0) if parts.neg_lam.size else 0.0
+            s2 = np.where(parts.s2 > level, parts.s2, np.inf)
+            self._factor = _ParentFactor(
+                L=L,
+                s2=s2,
+                kept=np.flatnonzero(np.isfinite(s2)),
+                C=C,
+                CL=C @ L,
+                CL_err=_gamma(g.n) * float(np.linalg.norm(np.abs(C) @ np.abs(L))),
+                noise=-float(parts.neg_lam @ np.sum(np.abs(C @ parts.neg_V) ** 2, axis=0)),
+            )
+        return self._factor
 
     def poles(self, g: StateSpace) -> np.ndarray:
         """Eigenvalues of A, from the response evaluator's factorization."""
@@ -781,7 +829,7 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     The value is the square root of trace(C Theta C*) for the error system
     ``series_sub(g, r)``, the square root of the frequency integral of
     ||G(jw) - R(jw)||_F^2 scaled as in the module docstring.  Theta is
-    assembled blockwise as [[Theta_g, X], [X*, Theta_r]] instead of by a
+    known blockwise as [[Theta_g, X], [X*, Theta_r]] instead of by a
     Lyapunov solve at order n + r.  Theta_g and the decoupled Schur split
     of g are computed once per parent and kept while g is alive; they are
     the same split and Gramian that :func:`controllability_gramian` uses.
@@ -801,15 +849,23 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     selection step builds for r starts from it: each reduced model is
     Schur-factored once.
 
-    A value swamped by rounding error (a badly scaled realization of r)
-    raises, as described in :func:`h2_norm_sq`.  The decoupled diagonal
-    blocks of the error system are those of g and of r, so the rounding
-    error is judged against their squared norms rather than against the
-    (possibly tiny) error; g's sum is kept in the per-parent context and
-    r's comes from Theta_r, so no (n + r)-sized block sum is formed.  A
-    Theta whose shifted Cholesky factorization certifies the value skips
-    the guard's eigensolve, semidefinite or not; any other Theta gets the
-    range-selected eigensolve of its non-positive eigenpairs.
+    The value comes from r-sized pieces (see :func:`_factored_trace`): with
+    the parent's Gramian factor L_g, K = L_g^+ X and the Schur complement
+    S = Theta_r - K* K, it is ||C_g L_g - C_r K*||_F^2 + trace(C_r S C_r*),
+    at O(n^2 r) + O(r^3) cost with no (n + r)-sized array.  It is returned
+    when a stated bound vouches for it: the negative part of S, the part
+    of X outside the range of L_g, the parent's own rounding noise and an
+    a-priori allowance for forming S and the C_r terms must together stay
+    within 1e-6 times the larger of the value and the summed squared norms
+    of the decoupled diagonal blocks (those of g and of r).  The allowance
+    grows with the square of r's output map, so a badly scaled realization
+    of r fails it.  Such a row takes the (n + r)-sized path instead:
+    Theta is assembled and the rounding guard of :func:`h2_norm_sq` runs
+    on it, a shifted Cholesky certificate first and the range-selected
+    eigensolve of its non-positive eigenpairs where that fails, and a value
+    swamped by rounding error raises.  g's block sum is kept in the
+    per-parent context and r's comes from Theta_r, so no (n + r)-sized
+    block sum is formed on either path.
 
     Parameters
     ----------
@@ -833,15 +889,15 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
         If a Gramian or block solve fails its residual check, or rounding
         error swamps the value.
     """
-    err = series_sub(g, r)
-    if np.any(err.D != 0):
+    _check_io(g, r)
+    if np.any(g.D != r.D):
         raise NonzeroFeedthrough(
             "the H2 error is infinite when the feedthroughs of g and r differ"
         )
     ctx = _parent_context(g)
     theta_g = ctx.gramian(g).theta
     r.assert_no_imaginary_poles()
-    output = "real" if err.is_real else "complex"
+    output = "real" if g.is_real and r.is_real else "complex"
     gs, rs = ctx.split(g, output), _schur_split(r, output, keep=True)
 
     # ||B B*||_F of the error system, from the q x q Gram matrix.
@@ -852,11 +908,164 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     # The stable parts solve T M + M S* + B1_g B1_r* = 0, the antistable
     # parts the sign-flipped equation; V_g and V_r take M back to the
     # states of g and r.
-    M = sla.block_diag(
+    M = _block_diag(
         _triangular_sylvester(gs.T11, rs.T11, -(gs.B1 @ rs.B1.conj().T), tol)[0],
         _triangular_sylvester(gs.T22, rs.T22, gs.B2 @ rs.B2.conj().T, tol)[0],
     )
     X = gs.to_state(rs.to_state(M.conj().T).conj().T)
-    theta = np.block([[theta_g, X], [X.conj().T, theta_r]])
     blocks = ctx.blocks(g) + _block_norms(r.A, r.C, theta_r)
-    return ErrorEstimate(math.sqrt(max(_checked_trace(err, theta, blocks), 0.0)), False)
+    value = _factored_trace(ctx.factor_parts(g), X, theta_r, r.C, blocks)
+    if value is None:
+        theta = np.block([[theta_g, X], [X.conj().T, theta_r]])
+        value = _checked_trace(series_sub(g, r), theta, blocks)
+    return ErrorEstimate(math.sqrt(max(value, 0.0)), False)
+
+
+class _ParentFactor(NamedTuple):
+    """What :func:`_factored_trace` reads of a parent g, computed once per parent.
+
+    ``L`` is the Gramian factor of g (:attr:`GramianResult.factor`, V diag(s)).
+    ``s2`` holds s^2, with inf for each s^2 at or below the noise level of
+    the eigensolve: the largest |lam| of the eigenvalues lam < 0 that the
+    factor clipped (zero when there are none).  ``kept`` indexes the finite
+    entries.  ``C`` is C_g, ``CL`` is C_g L, ``CL_err`` bounds the rounding
+    of ``CL`` (g_n || |C_g| |L| ||_F), and ``noise`` is the parent's own
+    rounding estimate: -sum lam ||C_g v||^2 over the eigenpairs that the
+    factor clipped, taken from the eigensolve it was built by.
+    """
+
+    L: np.ndarray
+    s2: np.ndarray
+    kept: np.ndarray
+    C: np.ndarray
+    CL: np.ndarray
+    CL_err: float
+    noise: float
+
+
+def _gamma(k: int) -> float:
+    """sqrt(2) gamma_{k+2}, gamma_j = j u / (1 - j u) with u = eps / 2.
+
+    A length-k inner product, real or complex, is off by at most this times
+    the same inner product of absolute values (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sections 3.1 and 3.6); g_0
+    covers one rounding.
+    """
+    ku = (k + 2) * 0.5 * np.finfo(float).eps
+    return math.sqrt(2.0) * ku / (1.0 - ku)
+
+
+def _blocked_gram(K: np.ndarray) -> tuple[np.ndarray, int]:
+    """K* K summed over blocks of about sqrt(k) rows of the k x m K, and its error index.
+
+    Each block is an inner product of length at most b, and the c partial
+    results are added one by one, so the sum is off by at most
+    g_{b+c} |K|^T |K| (Higham 2002, section 3.1) instead of g_k: with
+    b = isqrt(k), b + c is about 2 sqrt(k).
+    """
+    b = max(math.isqrt(K.shape[0]), 1)
+    G = K[:b].conj().T @ K[:b]
+    for i in range(b, K.shape[0], b):
+        G += K[i : i + b].conj().T @ K[i : i + b]
+    return G, b + -(-K.shape[0] // b)
+
+
+def _trace_abs(A: np.ndarray, M: np.ndarray, B: np.ndarray) -> float:
+    """trace(|A| |M| |B|^T) for p x n A, n x m M and p x m B."""
+    return float(np.sum((np.abs(A) @ np.abs(M)) * np.abs(B)))
+
+
+def _factored_trace(
+    parent: _ParentFactor, X: np.ndarray, theta_r: np.ndarray, C_r: np.ndarray, blocks: float
+) -> float | None:
+    """trace(C Theta C*) of an error system g - r from r-sized pieces, or None.
+
+    Theta = [[Theta_g, X], [X*, Theta_r]] and C = [C_g, -C_r] are never
+    formed.  With the parent's factor L = V diag(s), K = L^+ X (the rows
+    (L* X) / s^2 over s^2 above the eigensolve's noise level, see
+    :class:`_ParentFactor`; zero rows elsewhere, where dividing rounding
+    noise by rounding noise would swamp S), E = X - L K and the Schur
+    complement S = Theta_r - K* K,
+
+        Theta = W diag(I, S) W* + [[Theta_g - L L*, E], [E*, 0]],
+        W = [[L, 0], [K*, I]],
+
+    so trace(C Theta C*) = ||F||_F^2 + trace(C_r S C_r*) + R with
+    F = C_g L - C_r K*: a residual norm, which cannot go negative, plus an
+    r x r trace.  R = trace(C_g (Theta_g - L L*) C_g*) - 2 Re trace(C_g E C_r*)
+    is left out and bounded instead.  The value is returned when four
+    terms sum to at most tau = 1e-6 max(value, blocks), the threshold of
+    :func:`_checked_trace`; otherwise None, and the caller takes the
+    (n + r)-sized path.  With g_k of :func:`_gamma`, u = eps / 2, |.|
+    entrywise and k the number of nonzero rows of K (zero rows add nothing
+    to a product):
+
+    * the noise of S, -sum mu ||C_r u||^2 over its eigenpairs with mu < 0:
+      the estimate :func:`_checked_trace` makes of Theta, made on the
+      r x r matrix that carries Theta's negative part through W;
+    * the residual, 2 |Re trace(C_g fl(E) C_r*)| plus what rounding can
+      hide from it: g_{n+pr} for the trace itself, and |fl(E) - E| <=
+      g_{k+1} (|L| |K| + |X|), both weighted as 2 trace(|C_g| . |C_r|^T);
+    * the parent's noise (``parent.noise``), which is
+      -trace(C_g (Theta_g - L L*) C_g*);
+    * an a-priori allowance for rounding in forming S, trace(C_r S C_r*)
+      and ||F||_F^2 from L, K, X and Theta_r.  fl(K* K), summed by row
+      blocks (:func:`_blocked_gram`), is off by at most g_j |K|^T |K| with
+      j about 2 sqrt(k), and the subtraction from Theta_r by u |S|, which
+      moves trace(C_r S C_r*) by at most g_j || |K| |C_r|^T ||_F^2 +
+      g_0 trace(|C_r| |Theta_r| |C_r|^T) + u trace(|C_r| |S| |C_r|^T).  The
+      trace itself, a length-r product then a sum of p r terms, and the
+      Hermitian average of S add g_{(p+1) r} trace(|C_r| |S| |C_r|^T).
+      fl(F) is off by at most d = g_{r+1} || |C_g L| + |C_r| |K|^T ||_F
+      plus the rounding of C_g L (``parent.CL_err``), which moves
+      ||F||_F^2 by at most 2 ||F||_F d + 3 d^2; summing its p n squares
+      adds g_{2 p n} ||F||_F^2, and the final sum u |value|.  Since
+      K* K <= Theta_r, the leading term is of order eps sqrt(k) ||C_r||_2^2
+      trace(Theta_r): it grows with the square of r's output map, so a
+      badly scaled realization of r falls back.
+
+    The first and third terms are rounding estimates of the kind
+    :func:`_checked_trace` makes; the second and fourth bound the distance
+    of the value from trace(C Theta C*) of the computed Theta.  The work is
+    O(n^2 r) for K and E and O(r^3) for S, with no (n + r)-sized array.
+    """
+    L, C_g, CL, k = parent.L, parent.C, parent.CL, parent.kept.size
+    n, p = L.shape[0], C_r.shape[0]
+    m = theta_r.shape[0]
+    K = (L.conj().T @ X) / parent.s2[:, None]
+    E = X - L @ K
+    F = CL - C_r @ K.conj().T
+    KK, j = _blocked_gram(K[parent.kept])
+    S = theta_r - KK
+    S = 0.5 * (S + S.conj().T)
+    f2 = float(np.vdot(F, F).real)
+    value = f2 + float(np.real(np.sum((C_r @ S) * C_r.conj())))
+    if not math.isfinite(value):
+        return None
+
+    mu, U = np.linalg.eigh(S)
+    neg = mu < 0
+    noise = -float(mu[neg] @ np.sum(np.abs(C_r @ U[:, neg]) ** 2, axis=0))
+
+    aK = np.abs(K)
+    E_err = _gamma(n + p * m) * np.abs(E) + _gamma(k + 1) * (np.abs(L) @ aK + np.abs(X))
+    residual = 2.0 * (
+        abs(float(np.real(np.sum((C_g @ E) * C_r.conj())))) + _trace_abs(C_g, E_err, C_r)
+    )
+
+    aKC = aK @ np.abs(C_r).T
+    d = _gamma(m + 1) * float(np.linalg.norm(np.abs(CL) + aKC.T)) + parent.CL_err
+    f = math.sqrt(f2)
+    allowance = (
+        _gamma(j) * float(np.sum(aKC**2))
+        + _gamma(0) * _trace_abs(C_r, theta_r, C_r)
+        + _gamma((p + 1) * m + 1) * _trace_abs(C_r, S, C_r)
+        + 2.0 * f * d
+        + 3.0 * d * d
+        + _gamma(2 * p * n) * f2
+        + 0.5 * np.finfo(float).eps * abs(value)
+    )
+    tau = _H2_NOISE_RTOL * max(value, blocks)
+    if not noise + residual + parent.noise + allowance <= tau:
+        return None
+    return value

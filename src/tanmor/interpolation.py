@@ -36,7 +36,6 @@ import dataclasses
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatch,
@@ -44,7 +43,7 @@ from .errors import (
     IndexOutOfRange,
     RankDeficient,
 )
-from .lti import FreqResponse, StateSpace, resolvent_rows
+from .lti import FreqResponse, StateSpace, _block_diag, resolvent_rows
 
 __all__ = [
     "InterpPoint",
@@ -159,7 +158,7 @@ class InterpData:
         offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(sizes)[:-1]])) if sizes else ()
         total = int(sum(sizes))
         if blocks:
-            A_nodes = sla.block_diag(*[blk.a for blk in blocks]).astype(dtype, copy=False)
+            A_nodes = _block_diag(*[blk.a for blk in blocks]).astype(dtype, copy=False)
             B_denom = np.vstack([blk.b_denom for blk in blocks]).astype(dtype, copy=False)
             B_numer = np.vstack([blk.b_numer for blk in blocks]).astype(dtype, copy=False)
             tangent_obs = np.vstack([blk.obs_rows for blk in blocks]).astype(dtype, copy=False)

@@ -196,12 +196,7 @@ class StateSpace:
 
         The test is relative: |Re(lam)| <= 1e-10 * (1 + |lam|).
         """
-        for lam in self.poles():
-            if abs(lam.real) <= IMAG_AXIS_RTOL * (1.0 + abs(lam)):
-                raise InvariantViolation(
-                    f"eigenvalue {lam} of A lies on the imaginary axis "
-                    f"(|Re| <= {IMAG_AXIS_RTOL:g} * (1 + |eig|))"
-                )
+        _assert_off_axis(self.poles())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -232,6 +227,16 @@ class FreqResponse:
         value.setflags(write=False)
         object.__setattr__(self, "omega", float(omega))
         object.__setattr__(self, "value", value)
+
+
+def _assert_off_axis(poles: np.ndarray) -> None:
+    """Raise InvariantViolation for the first of ``poles`` on the imaginary axis."""
+    for lam in poles:
+        if abs(lam.real) <= IMAG_AXIS_RTOL * (1.0 + abs(lam)):
+            raise InvariantViolation(
+                f"eigenvalue {lam} of A lies on the imaginary axis "
+                f"(|Re| <= {IMAG_AXIS_RTOL:g} * (1 + |eig|))"
+            )
 
 
 def is_strictly_stable(sys: StateSpace) -> bool:
@@ -345,6 +350,29 @@ def _schur_form(sys: StateSpace, keep: bool = False) -> tuple[np.ndarray, np.nda
         if keep:
             _SCHUR_FORMS[sys] = form
     return form
+
+
+def _schur_poles(sys: StateSpace) -> np.ndarray:
+    """Eigenvalues of A read off the diagonal blocks of its kept Schur form.
+
+    The form is :func:`_schur_form` with ``keep`` set, so the evaluator and
+    the Gramian of ``sys`` reuse it.  A complex T is triangular.  A real T
+    has 1 x 1 blocks and 2 x 2 blocks [[a, b], [c, d]] (marked by a nonzero
+    subdiagonal entry) with the eigenvalues (a + d)/2 +- sqrt(((a - d)/2)^2
+    + b c); LAPACK's standardized blocks have a = d and b c < 0.  No
+    eigensolver runs on T.
+    """
+    if sys.n == 0:
+        return np.zeros(0, dtype=complex)
+    T = _schur_form(sys, keep=True)[0]
+    lam = np.diag(T).astype(complex)
+    if sys.is_real:
+        i = np.flatnonzero(np.diag(T, -1))
+        a, b, c, d = T[i, i], T[i, i + 1], T[i + 1, i], T[i + 1, i + 1]
+        mid = 0.5 * (a + d)
+        root = np.sqrt((0.5 * (a - d)) ** 2 + b * c + 0j)
+        lam[i], lam[i + 1] = mid + root, mid - root
+    return lam
 
 
 def _seal(T: np.ndarray, Q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -590,17 +618,36 @@ def series_sub(lhs: StateSpace, rhs: StateSpace) -> StateSpace:
     DimensionMismatch
         If the operands do not share the same numbers of inputs/outputs.
     """
-    if lhs.p != rhs.p or lhs.q != rhs.q:
-        raise DimensionMismatch(
-            f"incompatible I/O dimensions: ({lhs.p}, {lhs.q}) vs ({rhs.p}, {rhs.q})"
-        )
+    _check_io(lhs, rhs)
     field = "real" if (lhs.is_real and rhs.is_real) else "complex"
     dtype = np.float64 if field == "real" else np.complex128
-    n1, n2 = lhs.n, rhs.n
-    A = np.zeros((n1 + n2, n1 + n2), dtype=dtype)
-    A[:n1, :n1] = lhs.A
-    A[n1:, n1:] = rhs.A
+    A = _block_diag(lhs.A, rhs.A)
     B = np.vstack([lhs.B.astype(dtype), rhs.B.astype(dtype)])
     C = np.hstack([lhs.C.astype(dtype), -rhs.C.astype(dtype)])
     D = lhs.D.astype(dtype) - rhs.D.astype(dtype)
     return StateSpace(A, B, C, D, scalar_field=field)
+
+
+def _check_io(lhs: StateSpace, rhs: StateSpace) -> None:
+    """Raise DimensionMismatch unless the two systems share their I/O dimensions."""
+    if lhs.p != rhs.p or lhs.q != rhs.q:
+        raise DimensionMismatch(
+            f"incompatible I/O dimensions: ({lhs.p}, {lhs.q}) vs ({rhs.p}, {rhs.q})"
+        )
+
+
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.block_diag`` of 2-D arrays, bit for bit, at the cost of one ``np.zeros``.
+
+    SciPy's version goes through its array-API layer, which costs far more
+    than the copy itself on the small blocks of the reduction loop.
+    """
+    out = np.zeros(
+        (sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+        dtype=np.result_type(*[b.dtype for b in blocks]),
+    )
+    i = j = 0
+    for b in blocks:
+        out[i : i + b.shape[0], j : j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return out

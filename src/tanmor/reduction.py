@@ -82,12 +82,15 @@ class ReducerConfig:
         split is computed once per run, and its Gramian comes from that
         split; each measurement then costs recursive blocked triangular
         Sylvester solves against them (O(n^2 r) for parent order n and
-        model order r) and a Cholesky factorization of the (n + r) error
-        Gramian for the rounding check.  A positive-definite Gramian that
-        the factorization certifies skips the check's eigensolve; any
-        other one adds a range-selected eigensolve of its non-positive
-        eigenpairs.  The objective gamma needs the parent's Gramian, so
-        its split is computed on untracked runs too.
+        model order r), products with the parent's Gramian factor (O(n^2 r))
+        and an r x r eigensolve of a Schur complement for the rounding
+        check (see :func:`tanmor.error_norm`).  Only a model whose stated
+        rounding bound exceeds the guard's threshold (a badly scaled
+        realization) assembles the (n + r) error Gramian, where the check
+        is a shifted Cholesky factorization and, if that fails, a
+        range-selected eigensolve of its non-positive eigenpairs.  The
+        objective gamma needs the parent's Gramian, so its split is
+        computed on untracked runs too.
     """
 
     strategy: SelectionStrategy

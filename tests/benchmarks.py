@@ -43,3 +43,26 @@ def flex_structure_model() -> StateSpace:
         B[i + 1, :] = gains[k] * b
         C[:, i] = gains[k] * c
     return StateSpace(A, B, C, np.zeros((3, 3)))
+
+
+def convection_diffusion(N: int, seed: int) -> StateSpace:
+    """Seeded N^2-state, 3x3 convection-diffusion model on the unit square.
+
+    A is the centred finite-difference matrix of LYAPACK's ``fdm_2d_matrix``
+    (Penzl, 1999) for Laplace(u) - c u_x - c u_y on an N x N interior grid
+    with Dirichlet boundary, mesh width h = 1/(N + 1) and convection
+    c = 0.3 (N + 1), so the cell Peclet number c h / 2 stays at 0.15 for
+    every N.  B (N^2 x 3) and C (3 x N^2) are standard Gaussian draws from
+    ``seed``.  The parent is strictly stable and its Hankel values decay
+    fast, so greedy reduced models have large output maps.
+    """
+    h = 1.0 / (N + 1)
+    c = 0.3 * (N + 1)
+    off = np.ones(N - 1)
+    second = (np.diag(off, 1) + np.diag(off, -1) - 2.0 * np.eye(N)) / h**2
+    first = (np.diag(off, 1) - np.diag(off, -1)) / (2.0 * h)
+    line = second - c * first
+    eye = np.eye(N)
+    A = np.kron(eye, line) + np.kron(line, eye)
+    rng = np.random.default_rng(seed)
+    return StateSpace(A, rng.standard_normal((N * N, 3)), rng.standard_normal((3, N * N)))

@@ -27,8 +27,8 @@ from tanmor import (
     series_sub,
 )
 
-from benchmarks import flex_structure_model
-from helpers import grid_peak, h2_sq_quadrature, random_mixed, random_stable
+from benchmarks import convection_diffusion, flex_structure_model
+from helpers import grid_peak, h2_sq_quadrature, naive_tf, random_mixed, random_stable
 
 
 def lyap_defect(sys, theta):
@@ -294,9 +294,30 @@ class TestErrorNorm:
             npt.assert_allclose(got, want, rtol=1e-10)
 
 
-def test_error_norm_on_benchmark_matches_stacked_h2_norm():
+def record_factored_path(monkeypatch):
+    """List that gets True for each error norm the r-sized path settles, False for a fallback."""
+    taken = []
+    inner = tanmor.gramians._factored_trace
+
+    def recording(*args, **kwargs):
+        value = inner(*args, **kwargs)
+        taken.append(value is not None)
+        return value
+
+    monkeypatch.setattr(tanmor.gramians, "_factored_trace", recording)
+    return taken
+
+
+def force_fallback(monkeypatch):
+    """Send every error norm down the (n + r)-sized path."""
+    monkeypatch.setattr(tanmor.gramians, "_factored_trace", lambda *args, **kwargs: None)
+
+
+def test_error_norm_on_benchmark_matches_stacked_h2_norm(monkeypatch):
     # Every row of a max-error run on the 270-state benchmark, and the
     # balanced-truncation baselines, against the stacked Lyapunov solve.
+    # These models are well scaled: every one takes the r-sized path.
+    taken = record_factored_path(monkeypatch)
     g = flex_structure_model()
     cfg = ReducerConfig(
         SelectionStrategy.max_error(), max_order=24, rho=0.999, gamma_rel_tol=1e-300
@@ -306,9 +327,92 @@ def test_error_norm_on_benchmark_matches_stacked_h2_norm():
     baselines = [balanced_truncation(g, k) for k in (8, 16, 24)]
     got = [row.error_norm**2 for row in trace.rows]
     got += [error_norm(g, bt).value ** 2 for bt in baselines]
+    assert taken == [True] * len(got)
     models = [row.model for row in trace.rows] + baselines
     want = [h2_norm_sq(series_sub(g, m)) for m in models]
-    npt.assert_allclose(got, want, rtol=1e-10)
+    npt.assert_allclose(got, want, rtol=1e-13)
+
+
+def mixed_complex_parent():
+    """The mixed-complex benchmark parent in the realization of benchmark seed 1."""
+    base = random_mixed(100, 40, 3, 3, seed=7, field="complex")
+    rng = np.random.default_rng(1)
+    U = np.linalg.qr(rng.standard_normal((140, 140)) + 1j * rng.standard_normal((140, 140)))[0]
+    return StateSpace(
+        U @ base.A @ U.conj().T, U @ base.B, base.C @ U.conj().T, base.D, scalar_field="complex"
+    )
+
+
+class TestFactoredErrorNorm:
+    """The r-sized error norm on the parent's Gramian factor, and its fallback."""
+
+    def test_mixed_parent_rows_match_stacked_route(self, monkeypatch):
+        # The mixed-stability benchmark parent, whose models are badly
+        # scaled: on its late rows the stacked solve and the (n + r)-sized
+        # assembly of error_norm disagree with each other by up to 4e-7.
+        # Every row agrees with the stacked solve to 1e-7 beyond that
+        # disagreement.
+        taken = record_factored_path(monkeypatch)
+        g = mixed_complex_parent()
+        strategy = SelectionStrategy.discrete(omega_min=1e-2, omega_max=1e2, K=200)
+        trace = reduce(g, ReducerConfig(strategy, max_order=24, track_error=True))
+        assert taken == [True] * 24
+        got = np.array([row.error_norm for row in trace.rows])
+        want = np.array([math.sqrt(h2_norm_sq(series_sub(g, row.model))) for row in trace.rows])
+        force_fallback(monkeypatch)
+        assembled = np.array([error_norm(g, row.model).value for row in trace.rows])
+        assert np.all(np.abs(got - want) <= 1e-7 * want + np.abs(assembled - want))
+
+    def test_well_scaled_run_factors_nothing_error_sized(self, monkeypatch):
+        # The CLI benchmark's configuration on the 270-state parent: the one
+        # factorization or eigensolve of size n is the parent's PSD factor,
+        # and nothing of size n + r is assembled, factored or solved.
+        sizes = []
+        for module, name in ((sla, "cholesky"), (sla, "eigh"), (np.linalg, "eigh")):
+            inner = getattr(module, name)
+
+            def recording(a, *args, _inner=inner, _name=name, **kwargs):
+                sizes.append((_name, a.shape[0]))
+                return _inner(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+        g = flex_structure_model()
+        strategy = SelectionStrategy.discrete(omega_min=0.1, omega_max=100.0, K=200)
+        trace = reduce(g, ReducerConfig(strategy, max_order=24, track_error=True))
+        assert len(trace.rows) == 12 and all(math.isfinite(r.error_norm) for r in trace.rows)
+        assert [n for _, n in sizes if n >= g.n] == [g.n]
+        assert all(name == "eigh" and n <= 24 for name, n in sizes if n < g.n)
+
+    def test_convection_diffusion_rows_match_quadrature(self):
+        # A strictly stable 256-state parent whose greedy models have output
+        # maps of norm 1e4 to 1e7.  Every row the loop measures agrees with
+        # quadrature of G - R within the guard's threshold, 1e-6 times the
+        # larger of the value and ||g||^2 (no more than the summed block
+        # norms); a row that cannot be vouched for is NaN.  G comes from the
+        # eigendecomposition of the parent (cond(V) about 500), checked
+        # against the dense solve.
+        g = convection_diffusion(16, seed=1)
+        strategy = SelectionStrategy.discrete(omega_min=0.1, omega_max=1e4, K=200)
+        trace = reduce(g, ReducerConfig(strategy, max_order=24, track_error=True))
+        assert trace.model.n == 24
+        lam, V = np.linalg.eig(g.A)
+        Ct, Bt = g.C @ V, np.linalg.solve(V, g.B)
+
+        def parent(s):
+            return (Ct / (s - lam)) @ Bt
+
+        for w in (0.1, 10.0, 1e3, 1e5):
+            npt.assert_allclose(parent(1j * w), naive_tf(g, 1j * w), rtol=1e-11)
+        g_sq = h2_norm_sq(g)
+        measured = [row for row in trace.rows if not math.isnan(row.error_norm)]
+        assert measured
+        for row in measured:
+            r = row.model
+            want = h2_sq_quadrature(
+                series_sub(g, r), response=lambda s, r=r: parent(s) - naive_tf(r, s)
+            )
+            got = row.error_norm**2
+            assert abs(got - want) <= 1e-6 * max(got, g_sq)
 
 
 class TestRoundingGuard:
@@ -355,21 +459,9 @@ class TestRoundingGuard:
         got = error_norm(g, self.similar(r, np.logspace(0, -4, r.n))).value
         npt.assert_allclose(got, want, rtol=1e-4)
 
-    @pytest.mark.parametrize(
-        "parent, strategy",
-        [
-            (random_stable(40, 3, 3, seed=42), SelectionStrategy.max_error()),
-            (
-                random_mixed(8, 4, 2, 2, seed=3, field="complex"),
-                SelectionStrategy.discrete(omega_min=1e-2, omega_max=1e2, K=50),
-            ),
-        ],
-    )
-    def test_guard_solves_only_nonpositive_eigenpairs(self, monkeypatch, parent, strategy):
-        # The parent's PSD factor is the one full spectrum a tracked run
-        # needs.  Each error norm tries one Cholesky factorization of its
-        # Gramian, and asks for the eigenpairs in (-inf, 0] only when that
-        # certificate fails; a failed factorization always needs them.
+    @staticmethod
+    def record_factorizations(monkeypatch):
+        """Calls of eigh (size, subset) and cholesky (size, completed), in order."""
         calls = []
         np_eigh, sp_eigh, sp_cholesky = np.linalg.eigh, sla.eigh, sla.cholesky
 
@@ -393,29 +485,63 @@ class TestRoundingGuard:
         monkeypatch.setattr(np.linalg, "eigh", np_recording)
         monkeypatch.setattr(sla, "eigh", sp_recording)
         monkeypatch.setattr(sla, "cholesky", cholesky_recording)
-        trace = reduce(parent, ReducerConfig(strategy, max_order=8, track_error=True))
-        assert trace.rows and all(math.isfinite(row.error_norm) for row in trace.rows)
-        eighs = [(n, subset) for kind, n, subset in calls if kind == "eigh"]
-        assert [n for n, subset in eighs if subset is None] == [parent.n]
-        guard = [(n, subset) for n, subset in eighs if n > parent.n]
-        assert all(subset == (-np.inf, 0.0) for _, subset in guard)
-        sizes = [parent.n + row.order for row in trace.rows]
+        return calls
+
+    @staticmethod
+    def assert_guard_sequence(calls, sizes):
+        # One Cholesky factorization per (n + r) Gramian, and the eigenpairs
+        # in (-inf, 0] only when that certificate fails; a failed
+        # factorization always needs them.
         assert [n for kind, n, _ in calls if kind == "cholesky"] == sizes
+        guard = [(n, subset) for kind, n, subset in calls if kind == "eigh"]
+        assert all(n in sizes and subset == (-np.inf, 0.0) for n, subset in guard)
         for size in sizes:
             factored = [ok for kind, n, ok in calls if kind == "cholesky" and n == size]
             solves = [n for n, _ in guard if n == size]
             assert len(solves) <= 1 and (factored[0] or len(solves) == 1)
 
+    @pytest.mark.parametrize(
+        "parent, strategy",
+        [
+            (random_stable(40, 3, 3, seed=42), SelectionStrategy.max_error()),
+            (
+                random_mixed(8, 4, 2, 2, seed=3, field="complex"),
+                SelectionStrategy.discrete(omega_min=1e-2, omega_max=1e2, K=50),
+            ),
+        ],
+    )
+    def test_guard_solves_only_nonpositive_eigenpairs(self, monkeypatch, parent, strategy):
+        # The parent's PSD factor is the one full spectrum a tracked run
+        # needs; the r-sized error norm adds eigensolves of order r only.  The
+        # (n + r)-sized guard, run on the same run's error systems through
+        # h2_norm_sq and inside error_norm on rows that fall back, factors
+        # each Gramian once and asks for its non-positive eigenpairs only
+        # when that certificate fails.
+        calls = self.record_factorizations(monkeypatch)
+        cfg = ReducerConfig(strategy, max_order=8, track_error=True)
+        trace = reduce(parent, cfg)
+        assert trace.rows and all(math.isfinite(row.error_norm) for row in trace.rows)
+        sizes = [parent.n + row.order for row in trace.rows]
+        big = [(kind, n) for kind, n, _ in calls if kind == "cholesky" or n > cfg.max_order]
+        assert big == [("eigh", parent.n)]
+
+        calls.clear()
+        for row in trace.rows:
+            h2_norm_sq(series_sub(parent, row.model))
+        self.assert_guard_sequence(calls, sizes)
+
+        force_fallback(monkeypatch)
+        calls.clear()
+        fallback = reduce(parent, cfg)
+        assert [row.order for row in fallback.rows] == [row.order for row in trace.rows]
+        self.assert_guard_sequence(calls, sizes)
+
     @staticmethod
     def run_max_error(g):
         return reduce(g, ReducerConfig(SelectionStrategy.max_error(), max_order=8))
 
-    def test_positive_definite_gramians_skip_eigensolve(self, monkeypatch):
-        # Every error Gramian of this run passes the Cholesky certificate,
-        # so no (n + r)-sized eigensolve runs; without the certificate the
-        # guard solves for the non-positive eigenpairs and returns the same
-        # values.
-        g = random_stable(40, 3, 3, seed=42)
+    @staticmethod
+    def record_eigh_sizes(monkeypatch):
         sizes = []
         sp_eigh = sla.eigh
 
@@ -424,26 +550,52 @@ class TestRoundingGuard:
             return sp_eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(sla, "eigh", recording)
-        certified = self.run_max_error(g)
-        assert sizes == []
+        return sizes
 
+    @staticmethod
+    def fail_cholesky(monkeypatch):
         def failing(a, *args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(sla, "cholesky", failing)
-        plain = self.run_max_error(random_stable(40, 3, 3, seed=42))
-        assert sizes == [g.n + row.order for row in plain.rows]
-        got = [row.error_norm for row in certified.rows]
-        want = [row.error_norm for row in plain.rows]
+
+    def test_positive_definite_gramians_skip_eigensolve(self, monkeypatch):
+        # Every (n + r) error Gramian of this run passes the Cholesky
+        # certificate, so no (n + r)-sized eigensolve runs; without the
+        # certificate the guard solves for the non-positive eigenpairs and
+        # returns the same values.  This holds for the stacked Gramians of
+        # the run's models and for rows that fall back inside error_norm.
+        g = random_stable(40, 3, 3, seed=42)
+        sizes = self.record_eigh_sizes(monkeypatch)
+        taken = record_factored_path(monkeypatch)
+        models = [row.model for row in self.run_max_error(g).rows]
+        assert taken == [True] * len(models) and sizes == []
+        certified = [h2_norm_sq(series_sub(g, m)) for m in models]
+        assert sizes == []
+
+        force_fallback(monkeypatch)
+        fallback = self.run_max_error(random_stable(40, 3, 3, seed=42))
+        assert sizes == []
+
+        self.fail_cholesky(monkeypatch)
+        plain = [h2_norm_sq(series_sub(g, m)) for m in models]
+        assert sizes == [g.n + m.n for m in models]
+        npt.assert_array_equal(certified, plain)
+        sizes.clear()
+        plain_fallback = self.run_max_error(random_stable(40, 3, 3, seed=42))
+        assert sizes == [g.n + row.order for row in plain_fallback.rows]
+        got = [row.error_norm for row in fallback.rows]
+        want = [row.error_norm for row in plain_fallback.rows]
         assert all(math.isfinite(v) for v in got)
         npt.assert_array_equal(got, want)
 
     def test_semidefinite_gramians_skip_eigensolve(self, monkeypatch):
         # The benchmark's mixed parent: its Gramian has eigenvalues at
         # rounding level around zero, so a plain Cholesky factorization of
-        # an error Gramian (whose leading block it is) fails, but the shifted
-        # one certifies rows.  Every value matches the run without any
-        # certificate bit for bit.
+        # an (n + r) error Gramian (whose leading block it is) fails, but the
+        # shifted one certifies rows.  Every value matches the run without
+        # any certificate bit for bit, on the rows that fall back inside
+        # error_norm; on the run's own rows the r-sized path needs neither.
         def run(parent):
             strategy = SelectionStrategy.discrete(omega_min=1e-2, omega_max=1e2, K=200)
             return reduce(parent, ReducerConfig(strategy, max_order=12, track_error=True))
@@ -453,22 +605,22 @@ class TestRoundingGuard:
 
         with pytest.raises(np.linalg.LinAlgError):
             sla.cholesky(controllability_gramian(make()).theta)
-        sizes = []
-        sp_eigh = sla.eigh
+        sizes = self.record_eigh_sizes(monkeypatch)
+        taken = record_factored_path(monkeypatch)
+        factored = run(make())
+        assert sizes == [] and taken == [True] * len(factored.rows)
 
-        def recording(a, *args, **kwargs):
-            sizes.append(a.shape[0])
-            return sp_eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(sla, "eigh", recording)
+        force_fallback(monkeypatch)
         certified = run(make())
         rows = [make().n + row.order for row in certified.rows]
         assert len(sizes) < len(rows) and set(sizes) <= set(rows)
+        npt.assert_allclose(
+            [row.error_norm for row in factored.rows],
+            [row.error_norm for row in certified.rows],
+            rtol=1e-7,
+        )
 
-        def failing(a, *args, **kwargs):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(sla, "cholesky", failing)
+        self.fail_cholesky(monkeypatch)
         sizes.clear()
         plain = run(make())
         assert sizes == rows
@@ -496,8 +648,9 @@ class TestRoundingGuard:
     def test_block_norms_certify_a_small_error(self, monkeypatch):
         # An error far below the parent's norm: the threshold 1e-6 times the
         # value alone is below the certificate's bound, but 1e-6 times the
-        # summed block norms (those of g and r) is not, so no eigensolve runs,
-        # and the value is the eigensolve path's.
+        # summed block norms (those of g and r) is not, so no eigensolve runs
+        # on the (n + r) path either, and the value is the eigensolve path's.
+        # The r-sized path settles the row with neither.
         g = random_stable(20, 2, 2, seed=43)
         r = balanced_truncation(g, 11)
         err = series_sub(g, r)
@@ -505,21 +658,17 @@ class TestRoundingGuard:
         value = float(np.trace(err.C @ theta @ err.C.T))
         bound = 2 * err.n * np.finfo(float).eps * np.trace(theta) * np.linalg.norm(err.C) ** 2
         assert bound > 1e-6 * value
-        sizes = []
-        sp_eigh = sla.eigh
+        sizes = self.record_eigh_sizes(monkeypatch)
+        taken = record_factored_path(monkeypatch)
+        factored = error_norm(g, r).value
+        assert taken == [True] and sizes == []
 
-        def recording(a, *args, **kwargs):
-            sizes.append(a.shape[0])
-            return sp_eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(sla, "eigh", recording)
+        force_fallback(monkeypatch)
         got = error_norm(g, r).value
         assert sizes == []
+        assert abs(factored**2 - got**2) <= 1e-6 * max(got**2, h2_norm_sq(g))
 
-        def failing(a, *args, **kwargs):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(sla, "cholesky", failing)
+        self.fail_cholesky(monkeypatch)
         assert error_norm(g, r).value == got
         assert sizes == [err.n]
 
@@ -532,20 +681,19 @@ class TestRoundingGuard:
         npt.assert_allclose(got**2, h2_norm_sq(g), rtol=1e-12)
 
     def test_ill_scaled_realization_reaches_eigensolve(self, monkeypatch, reduced):
-        # The cond-1e8 realization fails the certificate, so the guard's
-        # eigensolve runs and trips.
+        # The cond-1e8 realization fails the r-sized bound and falls back;
+        # there it fails the certificate, so the guard's eigensolve runs and
+        # trips, as it does on the stacked error system.
         g, r = reduced
         r_t = self.similar(r, np.logspace(0, -8, r.n))
-        sizes = []
-        sp_eigh = sla.eigh
-
-        def recording(a, *args, **kwargs):
-            sizes.append(a.shape[0])
-            return sp_eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(sla, "eigh", recording)
+        sizes = self.record_eigh_sizes(monkeypatch)
+        taken = record_factored_path(monkeypatch)
         with pytest.raises(IllConditionedLyapunov, match="rounding error"):
             error_norm(g, r_t)
+        assert taken == [False] and sizes == [g.n + r.n]
+        sizes.clear()
+        with pytest.raises(IllConditionedLyapunov, match="rounding error"):
+            h2_norm_sq(series_sub(g, r_t))
         assert sizes == [g.n + r.n]
 
 

@@ -445,3 +445,22 @@ class TestSeriesSub:
         r = random_stable(3, 1, 1, seed=18)
         with pytest.raises(DimensionMismatch):
             series_sub(g, r)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [np.arange(4.0).reshape(2, 2), np.arange(9.0).reshape(3, 3) - 4.0],
+        [np.array([[1 + 2j, -3j], [0.5, 4.0 - 1j]]), np.array([[-2.5 + 0.25j]])],
+        [np.ones((2, 3)), np.array([[1j], [2.0], [-1j]]), np.full((1, 2), -0.5)],
+        [np.zeros((0, 0)), np.eye(2), np.zeros((0, 0), dtype=complex)],
+        [np.zeros((0, 3)), np.ones((2, 0)), np.eye(1)],
+        [np.array([[np.pi]])],
+    ],
+    ids=["real", "complex", "mixed-field-and-sizes", "empty", "empty-edges", "single"],
+)
+def test_block_diag_matches_scipy(blocks):
+    got = tanmor.lti._block_diag(*blocks)
+    want = scipy.linalg.block_diag(*blocks)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -4,7 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.io
+import scipy.linalg
 
+import tanmor.lti
 from tanmor import modelio
 from tanmor import (
     InvariantViolation,
@@ -13,9 +15,11 @@ from tanmor import (
     StateSpace,
     UnsupportedFormat,
     detect_format,
+    freq_sweep,
     load_model,
     save_model,
 )
+from tanmor.lti import IMAG_AXIS_RTOL
 
 from helpers import random_stable
 
@@ -169,6 +173,56 @@ C = 1.0
         f.write_text("A = 0 1\n-1 0\nB = 1\n0\nC = 1 0\n")
         with pytest.raises(InvariantViolation):
             load_model(f)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_pole_check_reads_the_kept_schur_form(self, tmp_path, monkeypatch, field):
+        # A damped pair at 3j whose real part sits at half, then at twice,
+        # the imaginary-axis band of 1e-10 (1 + |lam|): the first load is
+        # refused, the second loads.  The verdict comes from the diagonal
+        # blocks of the Schur form that the response evaluator (and the
+        # Gramian) then reuse, so no eigensolver runs on A or T and A is
+        # factored once.
+        def model(scale):
+            re = -scale * IMAG_AXIS_RTOL * (1.0 + 3.0)
+            if field == "real":
+                pair = [[re, 3.0], [-3.0, re]]
+            else:
+                pair = [[re + 3j, 0.0], [0.0, -1.0 - 0.5j]]
+            A = np.zeros((4, 4), dtype=complex if field == "complex" else float)
+            A[:2, :2] = pair
+            A[2:, 2:] = [[-1.0, 0.5], [0.0, -2.0]]
+            A[:2, 2:] = 0.1
+            return StateSpace(A, np.ones((4, 2)), np.arange(8.0).reshape(2, 4), scalar_field=field)
+
+        def no_eigensolver(*args, **kwargs):
+            raise AssertionError("the pole check ran an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigensolver)
+        monkeypatch.setattr(np.linalg, "eig", no_eigensolver)
+        on_axis, off_axis = tmp_path / "on.txt", tmp_path / "off.txt"
+        save_model(model(0.5), on_axis)
+        save_model(model(2.0), off_axis)
+        with pytest.raises(InvariantViolation, match="imaginary axis"):
+            load_model(on_axis)
+        sys = load_model(off_axis)
+        assert sys in tanmor.lti._SCHUR_FORMS
+        monkeypatch.undo()
+
+        seen = []
+        schur = scipy.linalg.schur
+
+        def recording(a, *args, **kwargs):
+            seen.append(a)
+            return schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", recording)
+        freq_sweep(sys, [0.5, 3.0])
+        assert seen == []
+        npt.assert_allclose(
+            np.sort_complex(tanmor.lti._schur_poles(sys)),
+            np.sort_complex(np.linalg.eigvals(sys.A)),
+            rtol=1e-14,
+        )
 
 
 def python_parse(token):

@@ -235,6 +235,16 @@ class TestReduce:
         with pytest.raises(IllConditionedLyapunov):
             error_norm(g, trace.model)
 
+    def test_rounding_swamped_rows_stay_nan(self, swamped_run):
+        # Every row from order 8 on is refused.  At order 8 the r x r Schur
+        # complement has no negative eigenvalue; only the rounding allowance
+        # for the model's output map (about 400 times the threshold) sends
+        # the row to the (n + r) guard, which refuses it.
+        _, trace = swamped_run
+        assert [row.order for row in trace.rows if math.isnan(row.error_norm)] == list(
+            range(8, 14)
+        )
+
     def test_rounding_swamped_h2_norm_raises(self, swamped_run):
         # The same error system through h2_norm_sq, which used to clip the
         # noise-dominated trace to 0.0 instead of rejecting it.
