@@ -38,7 +38,9 @@ import scipy.linalg as sla
 from .errors import IllConditionedLyapunov, NonzeroFeedthrough, PeakSearchNotConverged
 from .lti import (
     StateSpace,
+    _assert_off_axis,
     _block_diag,
+    _block_poles,
     _check_io,
     _dense_response_slope,
     _evaluator,
@@ -126,8 +128,12 @@ class PeakGain(NamedTuple):
 class ErrorEstimate(NamedTuple):
     """Result of :func:`error_norm`.
 
-    ``value`` is exact; ``approximate`` is always False and is kept only
-    so existing readers of the field keep working.
+    ``value`` is the square root of a trace that lies within tau =
+    1e-6 max(value^2, summed block norms) of the trace of the computed
+    error Gramian, an absolute bound (see :func:`error_norm`).  A value far
+    below ||g|| can therefore carry a large relative error.
+    ``approximate`` is always False and is kept only so existing readers
+    of the field keep working.
     """
 
     value: float
@@ -181,9 +187,10 @@ def controllability_gramian(sys: StateSpace) -> GramianResult:
     context exists (it does during :func:`tanmor.reduce` and after
     :func:`error_norm` against it), the split is kept there, so the
     Gramian and every error norm against ``sys`` share one Schur form.
-    That form is the one the response evaluator of ``sys`` is built from,
-    when ``sys`` has it cached; a system with none computes its form and
-    keeps nothing.
+    That form is the one the poles and the response evaluator of ``sys``
+    are read from, when ``sys`` has it cached; a system with none computes
+    its form and keeps nothing.  The imaginary-axis check reads the poles
+    off the diagonal blocks of that form's T, so no eigensolver runs.
 
     Raises
     ------
@@ -193,7 +200,6 @@ def controllability_gramian(sys: StateSpace) -> GramianResult:
         If the coupling solve or either block solve leaves a relative
         residual above its bound (1e-10 and 1e-8 respectively).
     """
-    sys.assert_no_imaginary_poles()
     output = "real" if sys.is_real else "complex"
     ctx = _PARENTS.get(sys)
     split = _schur_split(sys, output) if ctx is None else ctx.split(sys, output)
@@ -231,10 +237,13 @@ def _schur_split(sys: StateSpace, output: str, keep: bool = False) -> _SchurSpli
     cached per system in :mod:`tanmor.lti` (see :func:`tanmor.lti._schur_form`,
     which also keeps a new one when ``keep`` is set), so the Gramian and
     the response evaluator share one factorization.  Another field computes
-    its own form.
+    its own form.  The poles on the diagonal blocks of T are checked
+    against the imaginary-axis band before anything is solved.
 
     Raises
     ------
+    InvariantViolation
+        If A has an eigenvalue on the imaginary axis.
     IllConditionedLyapunov
         If the stable/antistable coupling solve leaves a relative residual
         above 1e-10.
@@ -247,6 +256,7 @@ def _schur_split(sys: StateSpace, output: str, keep: bool = False) -> _SchurSpli
         T, Q, k = _schur_form(sys, keep)
     else:
         T, Q, k = sla.schur(A, output=output, sort="lhp")
+    _assert_off_axis(_block_poles(T))
     T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
     Bt = Q.conj().T @ B
 
@@ -394,13 +404,13 @@ class _ParentContext:
     from that one eigensolve), a memo of responses w -> G(jw) that
     :mod:`tanmor.selection` fills, and the decoupled Schur split in each
     form asked for; the Gramian and every error norm against the parent
-    read the same split.  The poles are those of the response evaluator in
-    :mod:`tanmor.lti`, which takes its eigendecomposition from the parent's
-    cached ordered Schur form, the one the split in the parent's own field
-    is built on: one Schur form serves the responses, the poles, the
-    Gramian's imaginary-axis check and the Gramian.  It holds no reference
-    to the system itself, so the weak-keyed cache below lets a parent (and
-    all of this) go once callers drop it.
+    read the same split.  The Gramian also builds the parent's response
+    evaluator in :mod:`tanmor.lti`, before the loop starts.  The evaluator,
+    the split in the parent's own field and ``g.poles()`` all read the
+    parent's kept ordered Schur form: one form serves the responses, the
+    poles, the Gramian's imaginary-axis check and the Gramian.  It holds no
+    reference to the system itself, so the weak-keyed cache below lets a
+    parent (and all of this) go once callers drop it.
     """
 
     def __init__(self):
@@ -412,7 +422,8 @@ class _ParentContext:
 
     def gramian(self, g: StateSpace) -> GramianResult:
         if self._gramian is None:
-            self.poles(g)  # builds the evaluator, whose eigenvalues g.poles() reuses
+            if g.n:
+                _evaluator(g)  # keeps the Schur form that the split below reuses
             self._gramian = controllability_gramian(g)
         return self._gramian
 
@@ -441,12 +452,6 @@ class _ParentContext:
                 noise=-float(parts.neg_lam @ np.sum(np.abs(C @ parts.neg_V) ** 2, axis=0)),
             )
         return self._factor
-
-    def poles(self, g: StateSpace) -> np.ndarray:
-        """Eigenvalues of A, from the response evaluator's factorization."""
-        if g.n == 0:
-            return g.poles()
-        return _evaluator(g).lam
 
     def split(self, g: StateSpace, output: str) -> _SchurSplit:
         """Schur split in ``output`` ("real" or "complex") form."""
@@ -482,13 +487,11 @@ def h2_norm_sq(sys: StateSpace, strict_proper: bool = False) -> float:
     of the decoupled diagonal blocks of A.  For an error system
     ``series_sub(g, r)`` those are the blocks of g and of r, so a model
     that matches g to rounding level measures as zero instead of being
-    rejected.  A Cholesky factorization of Theta plus a small diagonal
-    shift is tried first: when the shift is small enough and the
-    factorization completes, it bounds that error below the threshold (see
-    :func:`_checked_trace`), which settles the check with no eigensolve,
-    for semidefinite Gramians as well as definite ones.  Otherwise only the
-    eigenpairs of Theta in (-inf, 0] are computed for the estimate.  A
-    Theta or trace that is not finite is rejected too.
+    rejected.  Only the eigenpairs of Theta in (-inf, 0] are computed for
+    the estimate (see :func:`_checked_trace`).  A Theta or trace that is
+    not finite is rejected too.  A returned value therefore lies within
+    that threshold of the trace, an absolute bound: a value far below the
+    block norms can carry a large relative error.
 
     Parameters
     ----------
@@ -549,31 +552,13 @@ def _checked_trace(sys: StateSpace, theta: np.ndarray, blocks: float | None = No
     :func:`_block_norms` of ``sys`` and Theta; a caller that knows it (an
     error system, whose blocks are those of g and r) passes it in.
 
-    A certificate is tried first.  With delta = tau / (2 ||C||_F^2), when
-    (delta + 2 N eps (tr(Theta) + N delta)) ||C||_F^2 <= tau, Theta + delta I
-    is factored by Cholesky; if that completes, the value is returned with
-    no eigensolve.  The argument: completion gives Theta + delta I + E =
-    R* R with |E_ij| <= g sqrt((theta_ii + delta)(theta_jj + delta)),
-    g = gamma_{N+1} / (1 - gamma_{N+1}) and gamma_k = k u / (1 - k u),
-    u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, section 10.1), so every eigenvalue of the N x N Theta is at least
-    -delta - g tr(Theta + delta I), with g about (N + 1) u.  The eigensolve
-    below moves the eigenvalues it computes by some p(N) u ||Theta||_2 more.
-    The code assumes p(N) <= 2N; that allowance is not a proven bound for
-    xSYEVR/xHEEVR, whose documented backward error carries an unspecified
-    modest p(N).  Under it, every computed eigenvalue is at least
-    -delta - 2 N eps (tr(Theta) + N delta), and the rounding estimate, which
-    sums -lambda ||C v||^2 over orthonormal v, is at most that bound times
-    ||C||_F^2, so at most tau: the eigensolve path would return the same
-    value.  The shift lets a semidefinite Theta (a Gramian with eigenvalues
-    at rounding level around zero) be certified, not only a definite one.
-    The bound is checked before factoring, so a Theta that cannot be
-    certified pays for no factorization.
-
-    Otherwise only the eigenpairs of Theta in (-inf, 0] are computed
-    (LAPACK's range-selected xSYEVR/xHEEVR): the rounding-error estimate
-    uses those with a negative eigenvalue and nothing else of the spectrum,
-    and the call raises when it exceeds tau.
+    Only the eigenpairs of Theta in (-inf, 0] are computed (LAPACK's
+    range-selected xSYEVR/xHEEVR): the rounding-error estimate
+    -sum lambda ||C v||^2 uses those with a negative eigenvalue and nothing
+    else of the spectrum, and the call raises when it exceeds tau.  A full
+    eigensolve would resolve the cluster of Theta around zero differently
+    and read the estimate several times lower on the Gramians this guard
+    refuses, so the range solve is kept.
     """
     C = sys.C
     value = float(np.real(np.trace(C @ theta @ C.conj().T)))
@@ -584,21 +569,6 @@ def _checked_trace(sys: StateSpace, theta: np.ndarray, blocks: float | None = No
     if blocks is None:
         blocks = _block_norms(sys.A, C, theta)
     tau = _H2_NOISE_RTOL * max(value, blocks)
-    c2 = float(np.linalg.norm(C, "fro")) ** 2
-    if c2 == 0.0:
-        return value  # C = 0: no eigenpair can carry an estimate
-    n = theta.shape[0]
-    delta = tau / (2.0 * c2)
-    allowance = 2.0 * n * np.finfo(float).eps * (np.real(np.trace(theta)) + n * delta)
-    if (delta + allowance) * c2 <= tau:
-        shifted = theta.copy()
-        shifted.flat[:: n + 1] += delta
-        try:
-            sla.cholesky(shifted, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return value
     lam, V = sla.eigh(
         theta, subset_by_value=(-np.inf, 0.0), driver="evr", check_finite=False
     )
@@ -784,7 +754,9 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
     (Bruinsma and Steinbuch, 1990); when the local maximum is the global
     one, the first round certifies it.  Stability of A is not required,
     only the absence of imaginary-axis poles.  Each response and slope is
-    a dense solve against ``sys``; nothing is cached between calls.
+    a dense solve against ``sys``; no response is cached between calls.
+    The candidate poles come from :meth:`StateSpace.poles`, which keeps
+    the Schur form of ``sys``.
     :func:`tanmor.select_max_error` runs the same search on an error
     system g - r, with the responses of g cached per parent.
 
@@ -824,7 +796,7 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
 
 
 def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
-    """H2-type norm of the error system g - r, computed exactly.
+    """H2-type norm of the error system g - r, within a stated rounding bound.
 
     The value is the square root of trace(C Theta C*) for the error system
     ``series_sub(g, r)``, the square root of the frequency integral of
@@ -861,11 +833,18 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     grows with the square of r's output map, so a badly scaled realization
     of r fails it.  Such a row takes the (n + r)-sized path instead:
     Theta is assembled and the rounding guard of :func:`h2_norm_sq` runs
-    on it, a shifted Cholesky certificate first and the range-selected
-    eigensolve of its non-positive eigenpairs where that fails, and a value
-    swamped by rounding error raises.  g's block sum is kept in the
-    per-parent context and r's comes from Theta_r, so no (n + r)-sized
-    block sum is formed on either path.
+    on it, the range-selected eigensolve of its non-positive eigenpairs,
+    and a value swamped by rounding error raises.  g's block sum is kept
+    in the per-parent context and r's comes from Theta_r, so no
+    (n + r)-sized block sum is formed on either path.
+
+    On both paths the returned square lies within tau = 1e-6 times the
+    larger of itself and the summed block norms of the trace of the
+    computed Theta.  That is an absolute bound: an error far below ||g||
+    can be off by much more than 1e-6 relative.
+
+    The imaginary-axis check of r reads the poles off the Schur form of
+    its split, and that of g off the parent's split.
 
     Parameters
     ----------
@@ -876,7 +855,7 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     Returns
     -------
     ErrorEstimate
-        ``approximate`` is always False.
+        ``value`` within the bound above; ``approximate`` is always False.
 
     Raises
     ------
@@ -896,7 +875,6 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
         )
     ctx = _parent_context(g)
     theta_g = ctx.gramian(g).theta
-    r.assert_no_imaginary_poles()
     output = "real" if g.is_real and r.is_real else "complex"
     gs, rs = ctx.split(g, output), _schur_split(r, output, keep=True)
 

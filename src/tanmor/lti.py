@@ -6,16 +6,15 @@ is a dense solve against ``sI - A``; sweeps and row solves go through a
 per-system evaluator built once, from the eigendecomposition of A (K
 frequencies in one O(K n p q) product) or, when its eigenvectors are ill
 conditioned, from the complex Schur form (O(n^2) per frequency).  A system
-that keeps per-system state (the evaluator, the per-parent context of
-:mod:`tanmor.gramians`, a reduced model whose error is measured) also keeps
-one ordered Schur form of A, from which its eigendecomposition and its
-Gramian are both taken.
+that keeps per-system state (its poles, the evaluator, the per-parent
+context of :mod:`tanmor.gramians`, a reduced model whose error is measured)
+also keeps one ordered Schur form of A, from which its poles, its
+eigendecomposition and its Gramian are all taken.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import weakref
 
 import numpy as np
@@ -177,19 +176,13 @@ class StateSpace:
         return self.scalar_field == "real"
 
     def poles(self) -> np.ndarray:
-        """Eigenvalues of A (empty for constant systems).
+        """Eigenvalues of A (empty for constant systems), as a new array.
 
-        Once the cached response evaluator exists, its eigenvalues are reused;
-        before that, the first ``eigvals`` of A is kept on the instance.
+        They are read off the diagonal blocks of the ordered Schur form of A
+        (see :func:`_schur_poles`), which is kept on first use, so the
+        response evaluator and the Gramian of this system reuse it.
         """
-        if self.n == 0:
-            return np.zeros(0, dtype=complex)
-        ev = _EVALUATORS.get(self)
-        return self._eigvals.copy() if ev is None else ev.lam.copy()
-
-    @functools.cached_property
-    def _eigvals(self) -> np.ndarray:
-        return np.linalg.eigvals(self.A)
+        return _schur_poles(self)
 
     def assert_no_imaginary_poles(self) -> None:
         """Raise InvariantViolation if any pole sits on the imaginary axis.
@@ -338,8 +331,8 @@ def _schur_form(sys: StateSpace, keep: bool = False) -> tuple[np.ndarray, np.nda
     ``schur(A, output=sys.scalar_field, sort="lhp")``: the k poles in the
     open left half-plane lead T.  A cached form is reused; a new one is
     cached, read-only and without a reference to ``sys``, only when
-    ``keep`` is set.  Callers that keep per-system state set it (the
-    evaluator, the per-parent context, a reduced model in
+    ``keep`` is set.  Callers that keep per-system state set it (the poles,
+    the evaluator, the per-parent context, a reduced model in
     :func:`tanmor.error_norm`), so a one-off Gramian of any other system
     leaves nothing behind.
     """
@@ -353,20 +346,26 @@ def _schur_form(sys: StateSpace, keep: bool = False) -> tuple[np.ndarray, np.nda
 
 
 def _schur_poles(sys: StateSpace) -> np.ndarray:
-    """Eigenvalues of A read off the diagonal blocks of its kept Schur form.
+    """Eigenvalues of A read off its kept Schur form by :func:`_block_poles`.
 
     The form is :func:`_schur_form` with ``keep`` set, so the evaluator and
-    the Gramian of ``sys`` reuse it.  A complex T is triangular.  A real T
-    has 1 x 1 blocks and 2 x 2 blocks [[a, b], [c, d]] (marked by a nonzero
-    subdiagonal entry) with the eigenvalues (a + d)/2 +- sqrt(((a - d)/2)^2
-    + b c); LAPACK's standardized blocks have a = d and b c < 0.  No
-    eigensolver runs on T.
+    the Gramian of ``sys`` reuse it.
     """
     if sys.n == 0:
         return np.zeros(0, dtype=complex)
-    T = _schur_form(sys, keep=True)[0]
+    return _block_poles(_schur_form(sys, keep=True)[0])
+
+
+def _block_poles(T: np.ndarray) -> np.ndarray:
+    """Eigenvalues of an upper (quasi-)triangular Schur factor T, as a new array.
+
+    A complex T is triangular.  A real T has 1 x 1 blocks and 2 x 2 blocks
+    [[a, b], [c, d]] (marked by a nonzero subdiagonal entry) with the
+    eigenvalues (a + d)/2 +- sqrt(((a - d)/2)^2 + b c); LAPACK's
+    standardized blocks have a = d and b c < 0.  No eigensolver runs on T.
+    """
     lam = np.diag(T).astype(complex)
-    if sys.is_real:
+    if not np.iscomplexobj(T):
         i = np.flatnonzero(np.diag(T, -1))
         a, b, c, d = T[i, i], T[i, i + 1], T[i + 1, i], T[i + 1, i + 1]
         mid = 0.5 * (a + d)
@@ -408,7 +407,7 @@ class _Evaluator:
     The eigendecomposition is taken from the system's ordered Schur form
     A = Q_s T Q_s* (see :func:`_schur_form`): lam and W from ``eig(T)``,
     then V = Q_s W, the back-transform LAPACK's xGEEV ends with itself.  So
-    a system is Schur-factored once, for its responses and its Gramian.
+    a system is Schur-factored once, for its poles, responses and Gramian.
     The Schur path of a complex system is that same form; a real system
     computes its complex Schur form.
     """

@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     UnsupportedFormat,
 )
-from .lti import StateSpace, _assert_off_axis, _schur_poles
+from .lti import StateSpace
 
 __all__ = ["detect_format", "load_model", "save_model"]
 
@@ -337,7 +337,7 @@ def load_model(path, format: str | None = None) -> StateSpace:
         raise ParseError(str(exc), str(path)) from exc
     # The poles come from the ordered Schur form that the response evaluator
     # and the Gramian of this system then reuse.
-    _assert_off_axis(_schur_poles(sys))
+    sys.assert_no_imaginary_poles()
     return sys
 
 

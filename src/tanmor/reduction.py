@@ -87,8 +87,7 @@ class ReducerConfig:
         check (see :func:`tanmor.error_norm`).  Only a model whose stated
         rounding bound exceeds the guard's threshold (a badly scaled
         realization) assembles the (n + r) error Gramian, where the check
-        is a shifted Cholesky factorization and, if that fails, a
-        range-selected eigensolve of its non-positive eigenpairs.  The
+        is a range-selected eigensolve of its non-positive eigenpairs.  The
         objective gamma needs the parent's Gramian, so its split is
         computed on untracked runs too.
     """

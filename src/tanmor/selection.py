@@ -197,7 +197,8 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
 
     Runs the search of :func:`tanmor.peak_gain` on the error G - R, with
     every candidate evaluated as sigma_max(G(jw) - R(jw)).  The poles of g
-    and a memo w -> G(jw) are kept in the per-parent context of
+    and r are read off their kept Schur forms (:meth:`StateSpace.poles`),
+    and a memo w -> G(jw) is kept in the per-parent context of
     :mod:`tanmor.gramians`, which does not keep g alive, so each call
     evaluates R at every candidate but G only at frequencies not seen
     before: the candidates from the poles of r, the local maximum and the
@@ -221,7 +222,7 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
         If the search runs out of Hamiltonian rounds.
     """
     err = series_sub(g, r)
-    poles = np.concatenate([_parent_context(g).poles(g), r.poles()])
+    poles = np.concatenate([g.poles(), r.poles()])
 
     def sigma_max(omegas):
         return _pointwise_error(_parent_at(g, omegas), r, omegas)

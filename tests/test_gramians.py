@@ -26,6 +26,7 @@ from tanmor import (
     reduce,
     series_sub,
 )
+from tanmor.lti import IMAG_AXIS_RTOL
 
 from benchmarks import convection_diffusion, flex_structure_model
 from helpers import grid_peak, h2_sq_quadrature, naive_tf, random_mixed, random_stable
@@ -461,7 +462,7 @@ class TestRoundingGuard:
 
     @staticmethod
     def record_factorizations(monkeypatch):
-        """Calls of eigh (size, subset) and cholesky (size, completed), in order."""
+        """Calls of eigh (size, subset) and cholesky (size), in order."""
         calls = []
         np_eigh, sp_eigh, sp_cholesky = np.linalg.eigh, sla.eigh, sla.cholesky
 
@@ -474,13 +475,8 @@ class TestRoundingGuard:
             return sp_eigh(a, *args, **kwargs)
 
         def cholesky_recording(a, *args, **kwargs):
-            try:
-                factor = sp_cholesky(a, *args, **kwargs)
-            except np.linalg.LinAlgError:
-                calls.append(("cholesky", a.shape[0], False))
-                raise
-            calls.append(("cholesky", a.shape[0], True))
-            return factor
+            calls.append(("cholesky", a.shape[0], None))
+            return sp_cholesky(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", np_recording)
         monkeypatch.setattr(sla, "eigh", sp_recording)
@@ -489,16 +485,9 @@ class TestRoundingGuard:
 
     @staticmethod
     def assert_guard_sequence(calls, sizes):
-        # One Cholesky factorization per (n + r) Gramian, and the eigenpairs
-        # in (-inf, 0] only when that certificate fails; a failed
-        # factorization always needs them.
-        assert [n for kind, n, _ in calls if kind == "cholesky"] == sizes
-        guard = [(n, subset) for kind, n, subset in calls if kind == "eigh"]
-        assert all(n in sizes and subset == (-np.inf, 0.0) for n, subset in guard)
-        for size in sizes:
-            factored = [ok for kind, n, ok in calls if kind == "cholesky" and n == size]
-            solves = [n for n, _ in guard if n == size]
-            assert len(solves) <= 1 and (factored[0] or len(solves) == 1)
+        # One solve for the eigenpairs in (-inf, 0] per (n + r) Gramian,
+        # and no Cholesky factorization.
+        assert calls == [("eigh", n, (-np.inf, 0.0)) for n in sizes]
 
     @pytest.mark.parametrize(
         "parent, strategy",
@@ -514,9 +503,8 @@ class TestRoundingGuard:
         # The parent's PSD factor is the one full spectrum a tracked run
         # needs; the r-sized error norm adds eigensolves of order r only.  The
         # (n + r)-sized guard, run on the same run's error systems through
-        # h2_norm_sq and inside error_norm on rows that fall back, factors
-        # each Gramian once and asks for its non-positive eigenpairs only
-        # when that certificate fails.
+        # h2_norm_sq and inside error_norm on rows that fall back, asks for
+        # the non-positive eigenpairs of each Gramian once.
         calls = self.record_factorizations(monkeypatch)
         cfg = ReducerConfig(strategy, max_order=8, track_error=True)
         trace = reduce(parent, cfg)
@@ -537,10 +525,6 @@ class TestRoundingGuard:
         self.assert_guard_sequence(calls, sizes)
 
     @staticmethod
-    def run_max_error(g):
-        return reduce(g, ReducerConfig(SelectionStrategy.max_error(), max_order=8))
-
-    @staticmethod
     def record_eigh_sizes(monkeypatch):
         sizes = []
         sp_eigh = sla.eigh
@@ -552,112 +536,19 @@ class TestRoundingGuard:
         monkeypatch.setattr(sla, "eigh", recording)
         return sizes
 
-    @staticmethod
-    def fail_cholesky(monkeypatch):
-        def failing(a, *args, **kwargs):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(sla, "cholesky", failing)
-
-    def test_positive_definite_gramians_skip_eigensolve(self, monkeypatch):
-        # Every (n + r) error Gramian of this run passes the Cholesky
-        # certificate, so no (n + r)-sized eigensolve runs; without the
-        # certificate the guard solves for the non-positive eigenpairs and
-        # returns the same values.  This holds for the stacked Gramians of
-        # the run's models and for rows that fall back inside error_norm.
-        g = random_stable(40, 3, 3, seed=42)
-        sizes = self.record_eigh_sizes(monkeypatch)
-        taken = record_factored_path(monkeypatch)
-        models = [row.model for row in self.run_max_error(g).rows]
-        assert taken == [True] * len(models) and sizes == []
-        certified = [h2_norm_sq(series_sub(g, m)) for m in models]
-        assert sizes == []
-
-        force_fallback(monkeypatch)
-        fallback = self.run_max_error(random_stable(40, 3, 3, seed=42))
-        assert sizes == []
-
-        self.fail_cholesky(monkeypatch)
-        plain = [h2_norm_sq(series_sub(g, m)) for m in models]
-        assert sizes == [g.n + m.n for m in models]
-        npt.assert_array_equal(certified, plain)
-        sizes.clear()
-        plain_fallback = self.run_max_error(random_stable(40, 3, 3, seed=42))
-        assert sizes == [g.n + row.order for row in plain_fallback.rows]
-        got = [row.error_norm for row in fallback.rows]
-        want = [row.error_norm for row in plain_fallback.rows]
-        assert all(math.isfinite(v) for v in got)
-        npt.assert_array_equal(got, want)
-
-    def test_semidefinite_gramians_skip_eigensolve(self, monkeypatch):
-        # The benchmark's mixed parent: its Gramian has eigenvalues at
-        # rounding level around zero, so a plain Cholesky factorization of
-        # an (n + r) error Gramian (whose leading block it is) fails, but the
-        # shifted one certifies rows.  Every value matches the run without
-        # any certificate bit for bit, on the rows that fall back inside
-        # error_norm; on the run's own rows the r-sized path needs neither.
-        def run(parent):
-            strategy = SelectionStrategy.discrete(omega_min=1e-2, omega_max=1e2, K=200)
-            return reduce(parent, ReducerConfig(strategy, max_order=12, track_error=True))
-
-        def make():
-            return random_mixed(100, 40, 3, 3, seed=7, field="complex")
-
-        with pytest.raises(np.linalg.LinAlgError):
-            sla.cholesky(controllability_gramian(make()).theta)
-        sizes = self.record_eigh_sizes(monkeypatch)
-        taken = record_factored_path(monkeypatch)
-        factored = run(make())
-        assert sizes == [] and taken == [True] * len(factored.rows)
-
-        force_fallback(monkeypatch)
-        certified = run(make())
-        rows = [make().n + row.order for row in certified.rows]
-        assert len(sizes) < len(rows) and set(sizes) <= set(rows)
-        npt.assert_allclose(
-            [row.error_norm for row in factored.rows],
-            [row.error_norm for row in certified.rows],
-            rtol=1e-7,
-        )
-
-        self.fail_cholesky(monkeypatch)
-        sizes.clear()
-        plain = run(make())
-        assert sizes == rows
-        got = [row.error_norm for row in certified.rows]
-        want = [row.error_norm for row in plain.rows]
-        assert all(math.isfinite(v) for v in got)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-
-    def test_rank_deficient_gramian_is_certified(self, monkeypatch):
-        # A rank-3 PSD Theta of order 6 has no plain Cholesky factor, but
-        # the shifted factorization certifies its trace with no eigensolve.
-        sys = random_stable(6, 2, 2, seed=30)
-        L = np.random.default_rng(5).standard_normal((6, 3))
-        theta = L @ L.T
-        with pytest.raises(np.linalg.LinAlgError):
-            sla.cholesky(theta)
-
-        def failing(*args, **kwargs):
-            raise AssertionError("the certificate should have settled the check")
-
-        monkeypatch.setattr(sla, "eigh", failing)
-        got = tanmor.gramians._checked_trace(sys, theta)
-        assert got == float(np.trace(sys.C @ theta @ sys.C.T))
-
     def test_block_norms_certify_a_small_error(self, monkeypatch):
-        # An error far below the parent's norm: the threshold 1e-6 times the
-        # value alone is below the certificate's bound, but 1e-6 times the
-        # summed block norms (those of g and r) is not, so no eigensolve runs
-        # on the (n + r) path either, and the value is the eigensolve path's.
-        # The r-sized path settles the row with neither.
+        # An error far below the parent's norm, where 1e-6 times the value
+        # alone is below the rounding level of the (n + r) trace: the
+        # threshold 1e-6 times the summed block norms (those of g and r)
+        # lets both paths measure it.  The r-sized path settles the row; the
+        # (n + r) path runs its one range solve and agrees.
         g = random_stable(20, 2, 2, seed=43)
         r = balanced_truncation(g, 11)
         err = series_sub(g, r)
         theta = controllability_gramian(err).theta
         value = float(np.trace(err.C @ theta @ err.C.T))
-        bound = 2 * err.n * np.finfo(float).eps * np.trace(theta) * np.linalg.norm(err.C) ** 2
-        assert bound > 1e-6 * value
+        rounding = 2 * err.n * np.finfo(float).eps * np.trace(theta) * np.linalg.norm(err.C) ** 2
+        assert rounding > 1e-6 * value
         sizes = self.record_eigh_sizes(monkeypatch)
         taken = record_factored_path(monkeypatch)
         factored = error_norm(g, r).value
@@ -665,12 +556,9 @@ class TestRoundingGuard:
 
         force_fallback(monkeypatch)
         got = error_norm(g, r).value
-        assert sizes == []
-        assert abs(factored**2 - got**2) <= 1e-6 * max(got**2, h2_norm_sq(g))
-
-        self.fail_cholesky(monkeypatch)
-        assert error_norm(g, r).value == got
         assert sizes == [err.n]
+        assert math.isfinite(got)
+        assert abs(factored**2 - got**2) <= 1e-6 * max(got**2, h2_norm_sq(g))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_zero_order_model(self, field):
@@ -682,8 +570,8 @@ class TestRoundingGuard:
 
     def test_ill_scaled_realization_reaches_eigensolve(self, monkeypatch, reduced):
         # The cond-1e8 realization fails the r-sized bound and falls back;
-        # there it fails the certificate, so the guard's eigensolve runs and
-        # trips, as it does on the stacked error system.
+        # there the guard's eigensolve runs and trips, as it does on the
+        # stacked error system.
         g, r = reduced
         r_t = self.similar(r, np.logspace(0, -8, r.n))
         sizes = self.record_eigh_sizes(monkeypatch)
@@ -695,6 +583,64 @@ class TestRoundingGuard:
         with pytest.raises(IllConditionedLyapunov, match="rounding error"):
             h2_norm_sq(series_sub(g, r_t))
         assert sizes == [g.n + r.n]
+
+
+def near_axis_model(scale, field):
+    """A 4-state model with a damped pair at 3j whose real part is ``scale`` times the band.
+
+    The band is IMAG_AXIS_RTOL (1 + |lam|).  The input to the pair is small,
+    so its Gramian block (about 1/|Re|) passes the Lyapunov residual check.
+    """
+    re = -scale * IMAG_AXIS_RTOL * (1.0 + 3.0)
+    if field == "real":
+        pair = [[re, 3.0], [-3.0, re]]
+    else:
+        pair = [[re + 3j, 0.0], [0.0, -1.0 - 0.5j]]
+    A = np.zeros((4, 4), dtype=complex if field == "complex" else float)
+    A[:2, :2] = pair
+    A[2:, 2:] = [[-1.0, 0.5], [0.0, -2.0]]
+    A[:2, 2:] = 0.1
+    B = np.ones((4, 2))
+    B[:2] *= 0.01
+    return StateSpace(A, B, np.arange(8.0).reshape(2, 4), scalar_field=field)
+
+
+def forbid_eigensolvers(monkeypatch):
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("the imaginary-axis check ran an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigensolver)
+    monkeypatch.setattr(np.linalg, "eig", no_eigensolver)
+
+
+class TestImaginaryAxisBand:
+    """The imaginary-axis check reads the poles off the Schur split's own T."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_gramian(self, monkeypatch, field):
+        # A pair at half the band is refused, one at twice the band measured.
+        forbid_eigensolvers(monkeypatch)
+        with pytest.raises(InvariantViolation, match="imaginary axis"):
+            controllability_gramian(near_axis_model(0.5, field))
+        sys = near_axis_model(2.0, field)
+        assert np.isfinite(controllability_gramian(sys).theta).all()
+        assert sys not in tanmor.lti._SCHUR_FORMS
+
+    @pytest.mark.parametrize(
+        "g_field, r_field",
+        [("real", "real"), ("complex", "complex"), ("real", "complex"), ("complex", "real")],
+    )
+    def test_error_norm(self, monkeypatch, g_field, r_field):
+        # The pair sits in r.  With a real g and a complex r, g's complex
+        # split comes from a Schur form of its own; with a complex g and a
+        # real r, the pair is checked on r's.
+        g = random_stable(6, 2, 2, seed=3, field=g_field)
+        tanmor.gramians._parent_context(g).gramian(g)  # the parent's evaluator runs its eig
+        forbid_eigensolvers(monkeypatch)
+        with pytest.raises(InvariantViolation, match="imaginary axis"):
+            error_norm(g, near_axis_model(0.5, r_field))
+        value = error_norm(g, near_axis_model(2.0, r_field)).value
+        assert math.isfinite(value) and value > 0
 
 
 def flat_trsyl(T, S, rhs, isgn=1, adjoint=True):

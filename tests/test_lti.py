@@ -253,16 +253,18 @@ class TestEvaluator:
         assert (tanmor.lti._evaluator(sys).T is None) == (cond <= tanmor.lti.MODAL_COND_MAX)
 
     def test_poles_are_the_eigenvalues(self):
-        sys = random_mixed(8, 4, 2, 3, seed=3)
-        lam = tanmor.lti._evaluator(sys).lam
-        npt.assert_allclose(
-            np.sort_complex(lam), np.sort_complex(np.linalg.eigvals(sys.A)), rtol=1e-12
-        )
-        # Once the evaluator exists, poles() hands out a copy of its values.
-        poles = sys.poles()
-        npt.assert_array_equal(poles, lam)
-        poles[0] = 0.0
-        assert lam[0] != 0.0
+        # poles() reads the diagonal blocks of the kept ordered Schur form,
+        # 2 x 2 blocks included for a real system, and hands out a new
+        # array each call.
+        for field in ("real", "complex"):
+            sys = random_mixed(8, 4, 2, 3, seed=3, field=field)
+            poles = sys.poles()
+            npt.assert_allclose(
+                np.sort_complex(poles), np.sort_complex(np.linalg.eigvals(sys.A)), rtol=1e-12
+            )
+            assert sys in tanmor.lti._SCHUR_FORMS
+            poles[0] = 0.0
+            assert sys.poles()[0] != 0.0
 
     @pytest.mark.parametrize(
         "n, rotate",

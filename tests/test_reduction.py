@@ -36,6 +36,7 @@ from tanmor import (
     sweep_orders,
 )
 
+from benchmarks import flex_structure_model
 from helpers import (
     decoupled_resonances,
     eigvals_sizes,
@@ -399,10 +400,10 @@ class TestReduce:
         assert lyapunov_orders == []
 
     def test_tracked_run_factors_parent_spectrum_once(self, monkeypatch):
-        # The response evaluator's eigendecomposition also supplies the
-        # poles of the parent (Gramian imaginary-axis check, max-error
-        # candidates): no separate eigvals of the parent in a run.  It is
-        # taken from the parent's Schur form, so the one parent-sized eig
+        # The poles of the parent (Gramian imaginary-axis check, max-error
+        # candidates) are read off its kept Schur form: no eigvals of the
+        # parent in a run.  The response evaluator takes its
+        # eigendecomposition from that form, so the one parent-sized eig
         # sees the triangular factor, never A.
         sys = random_mixed(30, 10, 2, 2, seed=45, field="complex")
         eig_orders, eigvals_orders, parent_eig_inputs = [], [], []
@@ -466,23 +467,36 @@ class TestReduce:
         assert not any(a is m for a in eig_inputs for m in models)
 
     def test_tracked_run_computes_each_model_spectrum_once(self, monkeypatch):
-        # The stability flag, error_norm's imaginary-axis check and the
-        # next max-error search all read one eigvals of each reduced model.
+        # The stability flag keeps each reduced model's ordered Schur form.
+        # error_norm's split and imaginary-axis check, and the next max-error
+        # search (the model's pole candidates and its evaluator) read that
+        # form: one Schur form per model and no eigvals or eig of its A.
         sys = random_mixed(30, 10, 2, 2, seed=45, field="complex")
-        seen = []
-        eigvals = np.linalg.eigvals
+        schur_inputs, eig_inputs = [], []
+        schur, eig, eigvals = scipy.linalg.schur, np.linalg.eig, np.linalg.eigvals
 
-        def recording(a):
-            seen.append(a)
+        def recording_schur(a, *args, **kwargs):
+            schur_inputs.append(a)
+            return schur(a, *args, **kwargs)
+
+        def recording_eig(a):
+            eig_inputs.append(a)
+            return eig(a)
+
+        def recording_eigvals(a):
+            eig_inputs.append(a)
             return eigvals(a)
 
-        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        monkeypatch.setattr(scipy.linalg, "schur", recording_schur)
+        monkeypatch.setattr(np.linalg, "eig", recording_eig)
+        monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
         trace = reduce(sys, max_error_cfg(8, rho=0.999, gamma_rel_tol=1e-300))
         assert len(trace.rows) >= 4
         assert all(np.isfinite(row.error_norm) for row in trace.rows)
-        assert [sum(a is row.model.A for a in seen) for row in trace.rows] == [1] * len(
-            trace.rows
-        )
+        models = [row.model for row in trace.rows]
+        assert [sum(a is m.A for a in schur_inputs) for m in models] == [1] * len(models)
+        assert not any(a is m.A for a in eig_inputs for m in models)
+        assert all(m in tanmor.lti._SCHUR_FORMS for m in models)
 
     def test_parent_evaluated_once_per_iteration(self, monkeypatch):
         # Every parent response of a run comes from the selection module's
@@ -666,6 +680,32 @@ class TestBalancedTruncation:
         sys = StateSpace.constant(np.ones((2, 2)))
         assert hankel_values(sys).shape == (0,)
         assert balanced_truncation(sys, 0).n == 0
+
+    def test_baseline_runs_no_parent_sized_eigensolve(self, monkeypatch):
+        # After a run on the 270-state benchmark parent, the baseline's
+        # stability check reads the parent's kept Schur form, and the dual's
+        # Gramian checks the poles of the flipped form it is seeded with:
+        # no eigvals or eig of size n.
+        sys = flex_structure_model()
+        cfg = ReducerConfig(SelectionStrategy.discrete(omega_min=0.1, omega_max=100.0, K=50), 8)
+        trace = reduce(sys, cfg)
+        sizes = []
+        eig, eigvals = np.linalg.eig, np.linalg.eigvals
+
+        def recording_eig(a):
+            sizes.append(a.shape[0])
+            return eig(a)
+
+        def recording_eigvals(a):
+            sizes.append(a.shape[0])
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eig", recording_eig)
+        monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+        assert balanced_truncation(sys, 12).n == 12
+        table = sweep_orders(sys, trace, [4, 8])
+        assert all(math.isfinite(row.baseline_error) for row in table)
+        assert all(n < sys.n for n in sizes)
 
 
 def sweep_trace(sys, cfg, orders):
