@@ -233,12 +233,13 @@ class _SchurSplit(NamedTuple):
 def _schur_split(sys: StateSpace, output: str, keep: bool = False) -> _SchurSplit:
     """Decoupled ordered Schur form of ``sys``; ``output`` is "real" or "complex".
 
-    When ``output`` is the field of ``sys``, the Schur form is the one
-    cached per system in :mod:`tanmor.lti` (see :func:`tanmor.lti._schur_form`,
-    which also keeps a new one when ``keep`` is set), so the Gramian and
-    the response evaluator share one factorization.  Another field computes
-    its own form.  The poles on the diagonal blocks of T are checked
-    against the imaginary-axis band before anything is solved.
+    The Schur form is the one cached per system in :mod:`tanmor.lti` (see
+    :func:`tanmor.lti._schur_form`, which also keeps a new one when ``keep``
+    is set), so the Gramian and the response evaluator share one
+    factorization.  A real system asked for the complex form converts its
+    real one by ``rsf2csf``, which keeps the ordering and k.  The poles on
+    the diagonal blocks of T are checked against the imaginary-axis band
+    before anything is solved.
 
     Raises
     ------
@@ -248,17 +249,16 @@ def _schur_split(sys: StateSpace, output: str, keep: bool = False) -> _SchurSpli
         If the stable/antistable coupling solve leaves a relative residual
         above 1e-10.
     """
-    A, B = sys.A, sys.B
     if sys.n == 0:
         dtype = np.float64 if output == "real" else np.complex128
         T, Q, k = np.zeros((0, 0), dtype=dtype), np.zeros((0, 0), dtype=dtype), 0
-    elif output == sys.scalar_field:
-        T, Q, k = _schur_form(sys, keep)
     else:
-        T, Q, k = sla.schur(A, output=output, sort="lhp")
+        T, Q, k = _schur_form(sys, keep)
+        if output != sys.scalar_field:
+            T, Q = sla.rsf2csf(T, Q, check_finite=False)
     _assert_off_axis(_block_poles(T))
     T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
-    Bt = Q.conj().T @ B
+    Bt = Q.conj().T @ sys.B
 
     # Decouple: with state transform [[I, Y], [0, I]], the stable block
     # sees the input matrix B1 - Y B2.

@@ -9,7 +9,7 @@ conditioned, from the complex Schur form (O(n^2) per frequency).  A system
 that keeps per-system state (its poles, the evaluator, the per-parent
 context of :mod:`tanmor.gramians`, a reduced model whose error is measured)
 also keeps one ordered Schur form of A, from which its poles, its
-eigendecomposition and its Gramian are all taken.
+eigendecomposition or complex Schur form and its Gramian are all taken.
 """
 
 from __future__ import annotations
@@ -406,10 +406,10 @@ class _Evaluator:
 
     The eigendecomposition is taken from the system's ordered Schur form
     A = Q_s T Q_s* (see :func:`_schur_form`): lam and W from ``eig(T)``,
-    then V = Q_s W, the back-transform LAPACK's xGEEV ends with itself.  So
-    a system is Schur-factored once, for its poles, responses and Gramian.
-    The Schur path of a complex system is that same form; a real system
-    computes its complex Schur form.
+    then V = Q_s W, the back-transform LAPACK's xGEEV ends with itself.  The
+    Schur path takes that form too, through ``rsf2csf`` for a real system,
+    so A is Schur-factored once, for its poles, responses and Gramian.  The
+    attribute ``T`` then holds -T, whose diagonal each solve sets to s - lam.
     """
 
     def __init__(self, sys: StateSpace):
@@ -430,10 +430,9 @@ class _Evaluator:
             self.T, self.Q, self.Qinv = None, V, Vinv
         else:
             if sys.is_real:
-                T, Q = sla.schur(sys.A, output="complex")
-            self.T, self.Q = T, Q
-            self.Qinv = Q.conj().T
-            lam = np.diag(T)
+                T, Q = sla.rsf2csf(T, Q, check_finite=False)
+            self.T, self.Q, self.Qinv = -T, Q, Q.conj().T
+            lam = np.diag(T).copy()
         self.lam = lam
         self.Bt = self.Qinv @ sys.B
         self.Ct = sys.C @ self.Q
@@ -452,13 +451,18 @@ class _Evaluator:
             )
         return shift
 
+    def _solve(self, shift: np.ndarray, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """(sI - T)^-1 rhs on the Schur path; ``shift`` is s - lam, a row of :meth:`_shifts`."""
+        # T and Bt are finite, as StateSpace rejects non-finite entries.
+        np.fill_diagonal(self.T, shift)
+        return sla.solve_triangular(self.T, rhs, trans=trans, check_finite=False)
+
     def responses(self, s: np.ndarray) -> np.ndarray:
         """G(s_k) for each shift, stacked as a complex (K, p, q) array."""
         shift = self._shifts(s)
         if self.T is None:
             return (self.Ct / shift[:, None, :]) @ self.Bt + self.D
-        eye = np.eye(self.lam.size)
-        X = [sla.solve_triangular(sk * eye - self.T, self.Bt) for sk in s]
+        X = [self._solve(row, self.Bt) for row in shift]
         return self.Ct @ np.array(X) + self.D
 
     def slopes(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,12 +475,8 @@ class _Evaluator:
         if self.T is None:
             X = self.Ct / shift[:, None, :]
             return X @ self.Bt + self.D, -1j * ((X / shift[:, None, :]) @ self.Bt)
-        eye = np.eye(self.lam.size)
-        X, Y = [], []
-        for sk in s:
-            M = sk * eye - self.T
-            X.append(sla.solve_triangular(M, self.Bt))
-            Y.append(sla.solve_triangular(M, X[-1]))
+        X = [self._solve(row, self.Bt) for row in shift]
+        Y = [self._solve(row, x) for row, x in zip(shift, X)]
         return self.Ct @ np.array(X) + self.D, -1j * (self.Ct @ np.array(Y))
 
     def rows(self, s: complex, rows: np.ndarray) -> np.ndarray:
@@ -486,8 +486,8 @@ class _Evaluator:
         if self.T is None:
             Z = Z / shift
         else:
-            M = s * np.eye(self.lam.size) - self.T
-            Z = sla.solve_triangular(M, Z.T, trans="T").T
+            # The row block comes from the caller, so it is checked.
+            Z = self._solve(shift, np.asarray_chkfinite(Z.T), trans="T").T
         return Z @ self.Qinv
 
 
@@ -552,9 +552,9 @@ def freq_sweep(sys: StateSpace, omegas) -> list[FreqResponse]:
     system lives): by its eigendecomposition, which evaluates all
     frequencies in one product, or, when the eigenvector matrix has
     condition above ``MODAL_COND_MAX``, by its complex Schur form, one
-    triangular solve per frequency.  The eigendecomposition comes from the
-    system's cached ordered Schur form, which its Gramian reads too.  A
-    real system at omega = 0 gets the dense real solve of :func:`eval_tf`.
+    triangular solve per frequency.  Either comes from the system's cached
+    ordered Schur form, which its Gramian reads too.  A real system at
+    omega = 0 gets the dense real solve of :func:`eval_tf`.
 
     Parameters
     ----------
@@ -583,8 +583,8 @@ def resolvent_rows(sys: StateSpace, s: complex, rows: np.ndarray) -> np.ndarray:
     """Compute ``rows @ (s I - A)^{-1}`` through the cached factorization.
 
     That is ``rows V diag(1/(s - lam)) V^-1`` from the eigendecomposition
-    of A (taken from its cached ordered Schur form), or triangular solves
-    on its complex Schur form, as chosen in :func:`freq_sweep`.  For a real
+    of A, or triangular solves on its complex Schur form, either taken from
+    its cached ordered Schur form as in :func:`freq_sweep`.  For a real
     system at real ``s`` with real rows the computation is a dense solve in
     real arithmetic and the result is a real array.
 

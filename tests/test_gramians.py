@@ -632,7 +632,7 @@ class TestImaginaryAxisBand:
     )
     def test_error_norm(self, monkeypatch, g_field, r_field):
         # The pair sits in r.  With a real g and a complex r, g's complex
-        # split comes from a Schur form of its own; with a complex g and a
+        # split is converted from its kept real form; with a complex g and a
         # real r, the pair is checked on r's.
         g = random_stable(6, 2, 2, seed=3, field=g_field)
         tanmor.gramians._parent_context(g).gramian(g)  # the parent's evaluator runs its eig
@@ -641,6 +641,25 @@ class TestImaginaryAxisBand:
             error_norm(g, near_axis_model(0.5, r_field))
         value = error_norm(g, near_axis_model(2.0, r_field)).value
         assert math.isfinite(value) and value > 0
+
+    def test_real_parent_converts_its_kept_form(self, monkeypatch):
+        # Against a complex r, a real g's complex split is rsf2csf of its
+        # kept real form: the error norm Schur-factors r alone, and agrees
+        # with the Gramian of the stacked error system.
+        g = random_stable(6, 2, 2, seed=3)
+        tanmor.gramians._parent_context(g).gramian(g)
+        r = near_axis_model(2.0, "complex")
+        seen = []
+        schur = sla.schur
+
+        def counting(a, *args, **kwargs):
+            seen.append(a.shape[0])
+            return schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(sla, "schur", counting)
+        got = error_norm(g, r).value ** 2
+        assert seen == [r.n]
+        npt.assert_allclose(got, h2_norm_sq(series_sub(g, r)), rtol=1e-10)
 
 
 def flat_trsyl(T, S, rhs, isgn=1, adjoint=True):

@@ -54,6 +54,23 @@ def jordan_block(n, lam, p=2, q=2, seed=0):
     return StateSpace(A.astype(complex), B, C, scalar_field="complex")
 
 
+def real_jordan_block(m, a, b, p=2, q=2, seed=0):
+    """Real system whose A is the real Jordan form of one defective pair a +- jb (n = 2m).
+
+    A = kron(I, [[a, b], [-b, a]]) + kron(N, I_2) with N the m x m shift.
+    """
+    rng = np.random.default_rng(seed)
+    A = np.kron(np.eye(m), [[a, b], [-b, a]]) + np.kron(np.eye(m, k=1), np.eye(2))
+    return StateSpace(A, rng.standard_normal((2 * m, q)), rng.standard_normal((p, 2 * m)))
+
+
+def rotated(sys, seed=1):
+    """``sys`` in the coordinates of a random orthogonal U, unitary for a complex system."""
+    M = np.random.default_rng(seed).standard_normal((sys.n, sys.n))
+    U = np.linalg.qr(M if sys.is_real else M + 0j)[0]
+    return StateSpace(U @ sys.A @ U.conj().T, U @ sys.B, sys.C @ U.conj().T)
+
+
 class TestConstruction:
     def test_real_arrays_are_float64(self):
         sys = StateSpace([[-1, 0], [0, -2]], [[1], [1]], [[1, 0]])
@@ -267,19 +284,23 @@ class TestEvaluator:
             assert sys.poles()[0] != 0.0
 
     @pytest.mark.parametrize(
-        "n, rotate",
-        [(5, False), (5, True), (25, False)],
-        # At n = 25 the computed eigenvector matrix is exactly singular.
-        ids=["triangular", "rotated", "singular-eigenvectors"],
+        "make",
+        [
+            lambda: jordan_block(5, -0.7 + 0.4j),
+            lambda: rotated(jordan_block(5, -0.7 + 0.4j)),
+            lambda: jordan_block(25, -0.7 + 0.4j),
+            lambda: rotated(real_jordan_block(3, -0.7, 0.4)),
+        ],
+        # At n = 25 the computed eigenvector matrix is exactly singular.  The
+        # real system's Schur form has 2 x 2 blocks, made complex by rsf2csf.
+        ids=["triangular", "rotated", "singular-eigenvectors", "real-rotated"],
     )
-    def test_jordan_block_takes_schur_path(self, n, rotate):
-        sys = jordan_block(n, -0.7 + 0.4j)
-        if rotate:
-            U = np.linalg.qr(
-                np.random.default_rng(1).standard_normal((n, n)) + 0j
-            )[0]
-            sys = StateSpace(U @ sys.A @ U.conj().T, U @ sys.B, sys.C @ U.conj().T)
+    def test_jordan_block_takes_schur_path(self, make):
+        sys = make()
+        n = sys.n
         assert tanmor.lti._evaluator(sys).T is not None
+        if sys.is_real:
+            assert np.any(np.diag(tanmor.lti._SCHUR_FORMS[sys][0], -1))
         for resp in freq_sweep(sys, np.linspace(-3.0, 3.0, 13)):
             npt.assert_allclose(
                 resp.value, eval_tf(sys, 1j * resp.omega), rtol=1e-10, atol=1e-12
@@ -290,16 +311,16 @@ class TestEvaluator:
             want = rows @ np.linalg.inv(s * np.eye(n) - sys.A)
             npt.assert_allclose(resolvent_rows(sys, s, rows), want, rtol=1e-10)
 
-    @pytest.mark.parametrize("path", ["modal", "schur"])
+    @pytest.mark.parametrize("path", ["modal", "schur", "schur-real"])
     def test_slopes_match_dense_solves_and_differences(self, path):
         # dG(jw)/dw = -j C (jwI - A)^-2 B, from the cached evaluator (either
         # path) and from one dense LU; the latter against central differences.
         if path == "modal":
             sys = random_stable(12, 2, 3, seed=4, feedthrough=True)
+        elif path == "schur":
+            sys = rotated(jordan_block(5, -0.7 + 0.4j))
         else:
-            U = np.linalg.qr(np.random.default_rng(1).standard_normal((5, 5)) + 0j)[0]
-            block = jordan_block(5, -0.7 + 0.4j)
-            sys = StateSpace(U @ block.A @ U.conj().T, U @ block.B, block.C @ U.conj().T)
+            sys = rotated(real_jordan_block(3, -0.7, 0.4))
         assert (tanmor.lti._evaluator(sys).T is None) == (path == "modal")
         omegas = [-1.3, 0.0, 0.4, 2.5]
         values, slopes = tanmor.lti._response_slopes(sys, omegas)
@@ -312,13 +333,15 @@ class TestEvaluator:
             diff = (eval_tf(sys, 1j * (w + h)) - eval_tf(sys, 1j * (w - h))) / (2 * h)
             npt.assert_allclose(dense_slope, diff, rtol=1e-7, atol=1e-9)
 
-    @pytest.mark.parametrize("path", ["modal", "schur"])
+    @pytest.mark.parametrize("path", ["modal", "schur", "schur-real"])
     def test_imaginary_axis_pole_raises(self, path):
         if path == "modal":
             # Real oscillator with poles +/- 1.5j.
             sys = StateSpace([[0.0, 1.5], [-1.5, 0.0]], [[1.0], [0.5]], [[1.0, -1.0]])
-        else:
+        elif path == "schur":
             sys = jordan_block(4, 1.5j)
+        else:
+            sys = real_jordan_block(2, 0.0, 1.5)
         assert (tanmor.lti._evaluator(sys).T is None) == (path == "modal")
         with pytest.raises(SingularResolvent):
             freq_sweep(sys, [0.5, 1.5])
@@ -328,6 +351,41 @@ class TestEvaluator:
         # Away from the pole both work.
         assert len(freq_sweep(sys, [0.5])) == 1
         assert np.all(np.isfinite(resolvent_rows(sys, 0.5j, rows)))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_shifted_solves_leave_no_state_behind(self, field):
+        # The Schur path writes each shift onto the diagonal of one work
+        # matrix.  Interleaved calls at other shifts must each match a fresh
+        # dense solve, and a repeated call its first result bit for bit.
+        if field == "real":
+            sys = rotated(real_jordan_block(3, -0.7, 0.4))
+        else:
+            sys = rotated(jordan_block(5, -0.7 + 0.4j))
+        ev = tanmor.lti._evaluator(sys)
+        assert ev.T is not None
+        n = sys.n
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        seen = {}
+        for method, s in [
+            ("responses", 0.7j), ("rows", -2.0j), ("slopes", 0.7j), ("responses", 1.3j),
+            ("rows", 0.7j), ("slopes", -2.0j), ("responses", 0.7j), ("rows", -2.0j),
+            ("slopes", 0.7j),
+        ]:
+            R = np.linalg.inv(s * np.eye(n) - sys.A)
+            if method == "responses":
+                got, want = ev.responses(np.array([s]))[0], sys.C @ R @ sys.B + sys.D
+            elif method == "slopes":
+                got = np.stack([x[0] for x in ev.slopes(np.array([s]))])
+                want = np.stack([sys.C @ R @ sys.B + sys.D, -1j * (sys.C @ R @ R @ sys.B)])
+            else:
+                got, want = ev.rows(s, rows), rows @ R
+            npt.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+            first = seen.setdefault((method, s), got)
+            assert np.array_equal(got, first), (method, s)
+        rows[1, 2] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            resolvent_rows(sys, 0.7j, rows)
 
     def test_cache_releases_its_system(self):
         # A random run evaluates the parent (and every reduced model) through
@@ -361,6 +419,26 @@ class TestSchurFormCache:
         assert seen == [sys.n]
         T, Q, k = tanmor.lti._SCHUR_FORMS[sys]
         assert k == 8 and not T.flags.writeable and not Q.flags.writeable
+
+    def test_real_schur_path_derives_its_complex_form(self, monkeypatch):
+        # A real system on the Schur path converts its kept real form by
+        # rsf2csf: responses, slopes, row solves and the Gramian together
+        # make one Schur decomposition.
+        sys = rotated(real_jordan_block(3, -0.7, 0.4))
+        seen = []
+        schur = scipy.linalg.schur
+
+        def counting(a, *args, **kwargs):
+            seen.append(a.shape[0])
+            return schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting)
+        freq_sweep(sys, [0.3, 2.0])
+        tanmor.lti._response_slopes(sys, [0.5])
+        resolvent_rows(sys, 1.1j, np.ones((1, sys.n)))
+        controllability_gramian(sys)
+        assert tanmor.lti._evaluator(sys).T is not None
+        assert seen == [sys.n]
 
     def test_one_off_gramian_leaves_nothing_behind(self):
         sys = random_stable(10, 2, 2, seed=3)
