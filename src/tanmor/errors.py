@@ -45,7 +45,11 @@ class SingularResolvent(TanmorError):
 
 
 class IllConditionedLyapunov(TanmorError):
-    """A Lyapunov (or coupling Sylvester) solve left an oversized residual."""
+    """A Lyapunov (or coupling Sylvester) solve, or an H2 trace from it, failed its check.
+
+    Raised when a solve leaves an oversized residual, or when an H2 trace is
+    not finite or its rounding bound exceeds the threshold.
+    """
 
 
 class NonzeroFeedthrough(TanmorError):

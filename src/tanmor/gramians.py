@@ -43,10 +43,8 @@ from .lti import (
     _block_poles,
     _check_io,
     _dense_response_slope,
-    _evaluator,
     _schur_form,
     eval_tf,
-    series_sub,
 )
 
 __all__ = [
@@ -397,17 +395,17 @@ class _ParentContext:
     """Parent-only quantities of one system, each computed at most once.
 
     Holds the Gramian (with its PSD factor), the summed squared norms of
-    its decoupled diagonal blocks that the rounding guard of
-    :func:`error_norm` reads, the pieces of the factor that the r-sized
-    error norm reads (:class:`_ParentFactor`: C_g L_g, the noise level of
-    the factor's eigensolve and the parent's own rounding estimate, all
-    from that one eigensolve), a memo of responses w -> G(jw) that
+    its decoupled diagonal blocks that the bound of :func:`error_norm`
+    reads, the pieces of the factor that the r-sized error norm reads
+    (:class:`_ParentFactor`: C_g L_g, the noise level of the factor's
+    eigensolve and the parent's own rounding estimate, all from that one
+    eigensolve), a memo of responses w -> G(jw) that
     :mod:`tanmor.selection` fills, and the decoupled Schur split in each
     form asked for; the Gramian and every error norm against the parent
-    read the same split.  The Gramian also builds the parent's response
-    evaluator in :mod:`tanmor.lti`, before the loop starts.  The evaluator,
-    the split in the parent's own field and ``g.poles()`` all read the
-    parent's kept ordered Schur form: one form serves the responses, the
+    read the same split, which keeps the parent's ordered Schur form in
+    :mod:`tanmor.lti`.  The response evaluator (which :func:`tanmor.reduce`
+    builds before its loop), the split in the parent's own field and
+    ``g.poles()`` all read that form: one form serves the responses, the
     poles, the Gramian's imaginary-axis check and the Gramian.  It holds no
     reference to the system itself, so the weak-keyed cache below lets a
     parent (and all of this) go once callers drop it.
@@ -422,8 +420,6 @@ class _ParentContext:
 
     def gramian(self, g: StateSpace) -> GramianResult:
         if self._gramian is None:
-            if g.n:
-                _evaluator(g)  # keeps the Schur form that the split below reuses
             self._gramian = controllability_gramian(g)
         return self._gramian
 
@@ -438,9 +434,11 @@ class _ParentContext:
         if self._factor is None:
             parts = self.gramian(g)._eig_factor
             L, C = parts.L, g.C
-            # Eigenvalues within the largest clipped one of zero are as much
-            # rounding noise as that one.
-            level = max(-float(parts.neg_lam.min()), 0.0) if parts.neg_lam.size else 0.0
+            # Eigenvalues at or below eps * lam_max carry no digits after a
+            # backward-stable eigh, and those within the largest clipped one
+            # of zero are as much rounding noise as that one.
+            clipped = -float(parts.neg_lam.min()) if parts.neg_lam.size else 0.0
+            level = max(clipped, np.finfo(float).eps * float(parts.s2.max(initial=0.0)))
             s2 = np.where(parts.s2 > level, parts.s2, np.inf)
             self._factor = _ParentFactor(
                 L=L,
@@ -449,7 +447,7 @@ class _ParentContext:
                 C=C,
                 CL=C @ L,
                 CL_err=_gamma(g.n) * float(np.linalg.norm(np.abs(C) @ np.abs(L))),
-                noise=-float(parts.neg_lam @ np.sum(np.abs(C @ parts.neg_V) ** 2, axis=0)),
+                noise=float(-parts.neg_lam @ np.sum(np.abs(C @ parts.neg_V) ** 2, axis=0)),
             )
         return self._factor
 
@@ -545,12 +543,11 @@ def _block_norms(A: np.ndarray, C: np.ndarray, theta: np.ndarray) -> float:
     return float(np.abs(np.bincount(rows[same], weights=terms[same])).sum())
 
 
-def _checked_trace(sys: StateSpace, theta: np.ndarray, blocks: float | None = None) -> float:
+def _checked_trace(sys: StateSpace, theta: np.ndarray) -> float:
     """trace(C Theta C*), raising when it is not finite or rounding error swamps it.
 
     The threshold is tau = 1e-6 max(value, blocks), where ``blocks`` is
-    :func:`_block_norms` of ``sys`` and Theta; a caller that knows it (an
-    error system, whose blocks are those of g and r) passes it in.
+    :func:`_block_norms` of ``sys`` and Theta.
 
     Only the eigenpairs of Theta in (-inf, 0] are computed (LAPACK's
     range-selected xSYEVR/xHEEVR): the rounding-error estimate
@@ -566,8 +563,7 @@ def _checked_trace(sys: StateSpace, theta: np.ndarray, blocks: float | None = No
         raise IllConditionedLyapunov(
             f"squared H2 norm {value:.6g} or its Gramian is not finite"
         )
-    if blocks is None:
-        blocks = _block_norms(sys.A, C, theta)
+    blocks = _block_norms(sys.A, C, theta)
     tau = _H2_NOISE_RTOL * max(value, blocks)
     lam, V = sla.eigh(
         theta, subset_by_value=(-np.inf, 0.0), driver="evr", check_finite=False
@@ -824,24 +820,24 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     The value comes from r-sized pieces (see :func:`_factored_trace`): with
     the parent's Gramian factor L_g, K = L_g^+ X and the Schur complement
     S = Theta_r - K* K, it is ||C_g L_g - C_r K*||_F^2 + trace(C_r S C_r*),
-    at O(n^2 r) + O(r^3) cost with no (n + r)-sized array.  It is returned
-    when a stated bound vouches for it: the negative part of S, the part
-    of X outside the range of L_g, the parent's own rounding noise and an
-    a-priori allowance for forming S and the C_r terms must together stay
-    within 1e-6 times the larger of the value and the summed squared norms
-    of the decoupled diagonal blocks (those of g and of r).  The allowance
-    grows with the square of r's output map, so a badly scaled realization
-    of r fails it.  Such a row takes the (n + r)-sized path instead:
-    Theta is assembled and the rounding guard of :func:`h2_norm_sq` runs
-    on it, the range-selected eigensolve of its non-positive eigenpairs,
-    and a value swamped by rounding error raises.  g's block sum is kept
-    in the per-parent context and r's comes from Theta_r, so no
-    (n + r)-sized block sum is formed on either path.
+    at O(n^2 r) + O(r^3) cost.  No (n + r)-sized array is formed and no
+    (n + r)-sized eigensolve runs, on any input.  The pseudo-inverse leaves
+    out the eigenvalues of Theta_g at the eigensolver's noise level (at or
+    below eps times the largest, or within the largest clipped negative one
+    of zero).  The value is returned when a stated bound vouches for it:
+    the negative part of S, the part of X outside the range of L_g, the
+    parent's own rounding noise and an a-priori allowance for forming S and
+    the C_r terms must together stay within tau = 1e-6 times the larger of
+    the value and the summed squared norms of the decoupled diagonal blocks
+    (those of g and of r).  The allowance grows with the square of r's
+    output map, so a badly scaled realization of r fails it, and the call
+    raises with each term of the bound against tau.  g's block sum is kept
+    in the per-parent context and r's comes from Theta_r.
 
-    On both paths the returned square lies within tau = 1e-6 times the
-    larger of itself and the summed block norms of the trace of the
+    The returned square therefore lies within tau of the trace of the
     computed Theta.  That is an absolute bound: an error far below ||g||
-    can be off by much more than 1e-6 relative.
+    can be off by much more than 1e-6 relative.  It does not cover the
+    forward error of the Lyapunov and Sylvester solves.
 
     The imaginary-axis check of r reads the poles off the Schur form of
     its split, and that of g off the parent's split.
@@ -865,8 +861,8 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
         If the error system has an imaginary-axis pole (the norm is
         infinite).
     IllConditionedLyapunov
-        If a Gramian or block solve fails its residual check, or rounding
-        error swamps the value.
+        If a Gramian or block solve fails its residual check, the value is
+        not finite, or the rounding bound exceeds tau.
     """
     _check_io(g, r)
     if np.any(g.D != r.D):
@@ -874,7 +870,6 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
             "the H2 error is infinite when the feedthroughs of g and r differ"
         )
     ctx = _parent_context(g)
-    theta_g = ctx.gramian(g).theta
     output = "real" if g.is_real and r.is_real else "complex"
     gs, rs = ctx.split(g, output), _schur_split(r, output, keep=True)
 
@@ -893,9 +888,6 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     X = gs.to_state(rs.to_state(M.conj().T).conj().T)
     blocks = ctx.blocks(g) + _block_norms(r.A, r.C, theta_r)
     value = _factored_trace(ctx.factor_parts(g), X, theta_r, r.C, blocks)
-    if value is None:
-        theta = np.block([[theta_g, X], [X.conj().T, theta_r]])
-        value = _checked_trace(series_sub(g, r), theta, blocks)
     return ErrorEstimate(math.sqrt(max(value, 0.0)), False)
 
 
@@ -904,12 +896,13 @@ class _ParentFactor(NamedTuple):
 
     ``L`` is the Gramian factor of g (:attr:`GramianResult.factor`, V diag(s)).
     ``s2`` holds s^2, with inf for each s^2 at or below the noise level of
-    the eigensolve: the largest |lam| of the eigenvalues lam < 0 that the
-    factor clipped (zero when there are none).  ``kept`` indexes the finite
-    entries.  ``C`` is C_g, ``CL`` is C_g L, ``CL_err`` bounds the rounding
-    of ``CL`` (g_n || |C_g| |L| ||_F), and ``noise`` is the parent's own
-    rounding estimate: -sum lam ||C_g v||^2 over the eigenpairs that the
-    factor clipped, taken from the eigensolve it was built by.
+    the eigensolve: the larger of eps times the largest eigenvalue and the
+    largest |lam| of the eigenvalues lam < 0 that the factor clipped.
+    ``kept`` indexes the finite entries.  ``C`` is C_g, ``CL`` is C_g L,
+    ``CL_err`` bounds the rounding of ``CL`` (g_n || |C_g| |L| ||_F), and
+    ``noise`` is the parent's own rounding estimate: -sum lam ||C_g v||^2
+    over the eigenpairs that the factor clipped, taken from the eigensolve
+    it was built by.
     """
 
     L: np.ndarray
@@ -955,8 +948,8 @@ def _trace_abs(A: np.ndarray, M: np.ndarray, B: np.ndarray) -> float:
 
 def _factored_trace(
     parent: _ParentFactor, X: np.ndarray, theta_r: np.ndarray, C_r: np.ndarray, blocks: float
-) -> float | None:
-    """trace(C Theta C*) of an error system g - r from r-sized pieces, or None.
+) -> float:
+    """trace(C Theta C*) of an error system g - r from r-sized pieces, within a bound.
 
     Theta = [[Theta_g, X], [X*, Theta_r]] and C = [C_g, -C_r] are never
     formed.  With the parent's factor L = V diag(s), K = L^+ X (the rows
@@ -971,12 +964,14 @@ def _factored_trace(
     so trace(C Theta C*) = ||F||_F^2 + trace(C_r S C_r*) + R with
     F = C_g L - C_r K*: a residual norm, which cannot go negative, plus an
     r x r trace.  R = trace(C_g (Theta_g - L L*) C_g*) - 2 Re trace(C_g E C_r*)
-    is left out and bounded instead.  The value is returned when four
-    terms sum to at most tau = 1e-6 max(value, blocks), the threshold of
-    :func:`_checked_trace`; otherwise None, and the caller takes the
-    (n + r)-sized path.  With g_k of :func:`_gamma`, u = eps / 2, |.|
-    entrywise and k the number of nonzero rows of K (zero rows add nothing
-    to a product):
+    is left out and bounded instead.  This identity holds for any K, so
+    the cut of the pseudo-inverse moves only the size of the terms below,
+    never their validity.  The value is returned when four terms sum to at
+    most tau = 1e-6 max(value, blocks), the threshold of
+    :func:`_checked_trace`; otherwise IllConditionedLyapunov is raised, and
+    its message gives each term against tau.  With g_k of :func:`_gamma`,
+    u = eps / 2, |.| entrywise and k the number of nonzero rows of K (zero
+    rows add nothing to a product):
 
     * the noise of S, -sum mu ||C_r u||^2 over its eigenpairs with mu < 0:
       the estimate :func:`_checked_trace` makes of Theta, made on the
@@ -1000,12 +995,19 @@ def _factored_trace(
       adds g_{2 p n} ||F||_F^2, and the final sum u |value|.  Since
       K* K <= Theta_r, the leading term is of order eps sqrt(k) ||C_r||_2^2
       trace(Theta_r): it grows with the square of r's output map, so a
-      badly scaled realization of r falls back.
+      badly scaled realization of r is refused.
 
     The first and third terms are rounding estimates of the kind
     :func:`_checked_trace` makes; the second and fourth bound the distance
     of the value from trace(C Theta C*) of the computed Theta.  The work is
     O(n^2 r) for K and E and O(r^3) for S, with no (n + r)-sized array.
+    The bound does not include the forward error of the Lyapunov and
+    Sylvester solves that produced Theta_g, X and Theta_r.
+
+    Raises
+    ------
+    IllConditionedLyapunov
+        If the value is not finite or the four terms exceed tau.
     """
     L, C_g, CL, k = parent.L, parent.C, parent.CL, parent.kept.size
     n, p = L.shape[0], C_r.shape[0]
@@ -1019,11 +1021,11 @@ def _factored_trace(
     f2 = float(np.vdot(F, F).real)
     value = f2 + float(np.real(np.sum((C_r @ S) * C_r.conj())))
     if not math.isfinite(value):
-        return None
+        raise IllConditionedLyapunov(f"squared H2 norm {value:.6g} of the error is not finite")
 
     mu, U = np.linalg.eigh(S)
     neg = mu < 0
-    noise = -float(mu[neg] @ np.sum(np.abs(C_r @ U[:, neg]) ** 2, axis=0))
+    noise = float(-mu[neg] @ np.sum(np.abs(C_r @ U[:, neg]) ** 2, axis=0))
 
     aK = np.abs(K)
     E_err = _gamma(n + p * m) * np.abs(E) + _gamma(k + 1) * (np.abs(L) @ aK + np.abs(X))
@@ -1045,5 +1047,10 @@ def _factored_trace(
     )
     tau = _H2_NOISE_RTOL * max(value, blocks)
     if not noise + residual + parent.noise + allowance <= tau:
-        return None
+        raise IllConditionedLyapunov(
+            f"squared H2 norm {value:.6g} of the error carries rounding error bounded by "
+            f"{noise:.3e} (negative part of S) + {residual:.3e} (residual) + "
+            f"{parent.noise:.3e} (parent noise) + {allowance:.3e} (allowance), above "
+            f"tau = {tau:.3e} = {_H2_NOISE_RTOL:g} * max(value, summed block norms {blocks:.6g})"
+        )
     return value

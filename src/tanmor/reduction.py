@@ -29,7 +29,7 @@ from .interpolation import (
     realize_r,
     truncated_point,
 )
-from .lti import StateSpace, _seed_adjoint_schur_form, is_strictly_stable
+from .lti import StateSpace, _evaluator, _seed_adjoint_schur_form, is_strictly_stable
 from .selection import (
     SelectionStrategy,
     SplitMix64,
@@ -84,10 +84,9 @@ class ReducerConfig:
         Sylvester solves against them (O(n^2 r) for parent order n and
         model order r), products with the parent's Gramian factor (O(n^2 r))
         and an r x r eigensolve of a Schur complement for the rounding
-        check (see :func:`tanmor.error_norm`).  Only a model whose stated
-        rounding bound exceeds the guard's threshold (a badly scaled
-        realization) assembles the (n + r) error Gramian, where the check
-        is a range-selected eigensolve of its non-positive eigenpairs.  The
+        bound (see :func:`tanmor.error_norm`); nothing of size n + r is
+        formed.  A model whose stated rounding bound exceeds the guard's
+        threshold (a badly scaled realization) gets a NaN row.  The
         objective gamma needs the parent's Gramian, so its split is
         computed on untracked runs too.
     """
@@ -126,10 +125,11 @@ class ReducerConfig:
 class TraceRow:
     """One iteration of the greedy loop.
 
-    ``error_norm`` is the exact H2 norm of the error system, or NaN when
-    error tracking is off or the norm could not be measured (the error
-    system has an imaginary-axis pole, a solve failed, or rounding error
-    swamped the value).  ``model`` and
+    ``error_norm`` is the H2 norm of the error system, within the rounding
+    bound stated by :func:`tanmor.error_norm`, or NaN when error tracking
+    is off or the norm could not be measured (the error system has an
+    imaginary-axis pole, a solve failed, or the rounding bound exceeded the
+    guard's threshold).  ``model`` and
     ``data`` snapshot the reduced system and the interpolation state as of
     this iteration's end.
     """
@@ -184,7 +184,9 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
     """Run the greedy interpolation loop on ``sys``.
 
     The parent Gramian is computed once up front and kept in the
-    per-parent cache that :func:`tanmor.error_norm` also reads; each
+    per-parent cache that :func:`tanmor.error_norm` also reads, and the
+    parent's response evaluator is built from the same Schur form before
+    the first iteration, so no row's ``seconds`` carry set-up work; each
     iteration then adds one frequency (or grows an existing one), re-solves
     the weights, and realizes the next model.  Any library or LAPACK error raised
     mid-iteration (rank exhaustion, a singular resolvent at a proposed
@@ -199,6 +201,8 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
         If the parent has imaginary-axis poles (no Gramian exists).
     """
     gram = _parent_context(sys).gramian(sys)
+    if sys.n:
+        _evaluator(sys)
     data = InterpData.empty(sys)
     base = solve_weights(sys, gram, data)
     gamma0 = base.gamma

@@ -13,9 +13,11 @@ import warnings
 import numpy as np
 import scipy.integrate
 
+import tanmor.gramians as gramians
 from tanmor import (
     DimensionMismatch,
     EmptyGrid,
+    IllConditionedLyapunov,
     StateSpace,
     freq_sweep,
     peak_gain,
@@ -140,7 +142,7 @@ def naive_tf(sys, s):
     return sys.C @ np.linalg.solve(shifted, sys.B.astype(complex)) + sys.D
 
 
-def h2_sq_quadrature(sys, rtol=1e-10, response=None):
+def h2_sq_quadrature(sys, rtol=1e-10, response=None, with_error=False):
     """Squared H2 norm by adaptive quadrature of the response.
 
     Real systems use the single-sided convention (1/pi) * int_0^inf of the
@@ -149,7 +151,9 @@ def h2_sq_quadrature(sys, rtol=1e-10, response=None):
     ``response(s)``, when given, evaluates the strictly proper response of
     ``sys`` at s in place of the dense solve (a caller that can evaluate a
     large part of ``sys`` faster, and has checked that against the dense
-    solve); the breakpoints still come from the poles of ``sys``.
+    solve); the breakpoints still come from the poles of ``sys``.  With
+    ``with_error`` set, returns ``(value, abserr)``: ``abserr`` is the sum
+    of ``quad``'s own error estimates over the pieces, in the same scaling.
     """
     proper = StateSpace(sys.A, sys.B, sys.C, np.zeros_like(sys.D), sys.scalar_field)
     if response is None:
@@ -162,29 +166,71 @@ def h2_sq_quadrature(sys, rtol=1e-10, response=None):
 
     mags = np.abs(np.linalg.eigvals(sys.A))
     cut = 10.0 * max(1.0, float(mags.max())) if mags.size else 10.0
-    heads = sorted(set(np.clip(mags, 0.0, cut * 0.99)))
+    # Breakpoints within 1e-9 relative of the previous one are dropped: the
+    # conjugate pairs of a real A repeat their magnitude up to rounding, and
+    # quad reads an interval 1e-16 wide as bad integrand behaviour, which
+    # stops it early with an error estimate far above its true error.
+    heads = []
+    for m in sorted(np.clip(mags, 0.0, cut * 0.99)):
+        if not heads or m > heads[-1] * (1.0 + 1e-9):
+            heads.append(float(m))
+    if sys.is_real:
+        pieces = [(0.0, cut, heads, 400), (cut, np.inf, None, 200)]
+    else:
+        neg_heads = sorted(-m for m in heads)
+        pieces = [
+            (0.0, cut, heads, 400),
+            (-cut, 0.0, neg_heads, 400),
+            (cut, np.inf, None, 200),
+            (-np.inf, -cut, None, 200),
+        ]
     # quad warns when it cannot meet epsrel: on the near-zero integrands of
     # recovered models, where the error is rounding noise, and on error
-    # integrals near 1e-6 (the convection-diffusion rows).  Its value there
-    # stays inside the bounds those tests assert.
+    # integrals near 1e-6 (the convection-diffusion rows).  ``with_error``
+    # returns its error estimate, so a caller can check it against its bound.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        if sys.is_real:
-            head, _ = scipy.integrate.quad(
-                f, 0.0, cut, points=heads, limit=400, epsrel=rtol, epsabs=0.0
-            )
-            tail, _ = scipy.integrate.quad(f, cut, np.inf, limit=200, epsrel=rtol, epsabs=0.0)
-            return (head + tail) / np.pi
-        neg_heads = sorted(-m for m in heads)
-        head_pos, _ = scipy.integrate.quad(
-            f, 0.0, cut, points=heads, limit=400, epsrel=rtol, epsabs=0.0
-        )
-        head_neg, _ = scipy.integrate.quad(
-            f, -cut, 0.0, points=neg_heads, limit=400, epsrel=rtol, epsabs=0.0
-        )
-        tail_pos, _ = scipy.integrate.quad(f, cut, np.inf, limit=200, epsrel=rtol, epsabs=0.0)
-        tail_neg, _ = scipy.integrate.quad(f, -np.inf, -cut, limit=200, epsrel=rtol, epsabs=0.0)
-        return (head_pos + head_neg + tail_pos + tail_neg) / (2.0 * np.pi)
+        parts = [
+            scipy.integrate.quad(f, lo, hi, points=points, limit=limit, epsrel=rtol, epsabs=0.0)
+            for lo, hi, points, limit in pieces
+        ]
+    scale = np.pi if sys.is_real else 2.0 * np.pi
+    value = sum(v for v, _ in parts) / scale
+    if with_error:
+        return value, sum(e for _, e in parts) / scale
+    return value
+
+
+def assembled_error_norm(g, r):
+    """``error_norm(g, r)``'s Gramian blocks, assembled and traced at size n + r.
+
+    Theta = [[Theta_g, X], [X*, Theta_r]], where Theta_g is the parent's
+    kept Gramian and X and Theta_r are the blocks that ``error_norm(g, r)``
+    solves for, caught on their way into its r-sized trace.  Theta is then
+    traced against the stacked output map of ``series_sub(g, r)`` under the
+    rounding guard of ``h2_norm_sq``, which raises when rounding swamps the
+    value.  This reads the same computed blocks as ``error_norm`` through
+    an (n + r)-sized formula instead of the factored one.
+    """
+    caught = {}
+    inner = gramians._factored_trace
+
+    def catching(parent, X, theta_r, C_r, blocks):
+        caught.update(X=X, theta_r=theta_r)
+        return inner(parent, X, theta_r, C_r, blocks)
+
+    gramians._factored_trace = catching
+    try:
+        gramians.error_norm(g, r)
+    except IllConditionedLyapunov:
+        if not caught:
+            raise
+    finally:
+        gramians._factored_trace = inner
+    X, theta_r = caught["X"], caught["theta_r"]
+    theta_g = gramians._parent_context(g).gramian(g).theta
+    theta = np.block([[theta_g, X], [X.conj().T, theta_r]])
+    return math.sqrt(max(gramians._checked_trace(series_sub(g, r), theta), 0.0))
 
 
 def grid_peak(sys, num=20000):

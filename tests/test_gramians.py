@@ -1,6 +1,7 @@
 """Gramians, H2 machinery, peak gain, and the error-norm dispatcher."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -29,7 +30,14 @@ from tanmor import (
 from tanmor.lti import IMAG_AXIS_RTOL
 
 from benchmarks import convection_diffusion, flex_structure_model
-from helpers import grid_peak, h2_sq_quadrature, naive_tf, random_mixed, random_stable
+from helpers import (
+    assembled_error_norm,
+    grid_peak,
+    h2_sq_quadrature,
+    naive_tf,
+    random_mixed,
+    random_stable,
+)
 
 
 def lyap_defect(sys, theta):
@@ -295,30 +303,9 @@ class TestErrorNorm:
             npt.assert_allclose(got, want, rtol=1e-10)
 
 
-def record_factored_path(monkeypatch):
-    """List that gets True for each error norm the r-sized path settles, False for a fallback."""
-    taken = []
-    inner = tanmor.gramians._factored_trace
-
-    def recording(*args, **kwargs):
-        value = inner(*args, **kwargs)
-        taken.append(value is not None)
-        return value
-
-    monkeypatch.setattr(tanmor.gramians, "_factored_trace", recording)
-    return taken
-
-
-def force_fallback(monkeypatch):
-    """Send every error norm down the (n + r)-sized path."""
-    monkeypatch.setattr(tanmor.gramians, "_factored_trace", lambda *args, **kwargs: None)
-
-
-def test_error_norm_on_benchmark_matches_stacked_h2_norm(monkeypatch):
+def test_error_norm_on_benchmark_matches_stacked_h2_norm():
     # Every row of a max-error run on the 270-state benchmark, and the
     # balanced-truncation baselines, against the stacked Lyapunov solve.
-    # These models are well scaled: every one takes the r-sized path.
-    taken = record_factored_path(monkeypatch)
     g = flex_structure_model()
     cfg = ReducerConfig(
         SelectionStrategy.max_error(), max_order=24, rho=0.999, gamma_rel_tol=1e-300
@@ -328,7 +315,6 @@ def test_error_norm_on_benchmark_matches_stacked_h2_norm(monkeypatch):
     baselines = [balanced_truncation(g, k) for k in (8, 16, 24)]
     got = [row.error_norm**2 for row in trace.rows]
     got += [error_norm(g, bt).value ** 2 for bt in baselines]
-    assert taken == [True] * len(got)
     models = [row.model for row in trace.rows] + baselines
     want = [h2_norm_sq(series_sub(g, m)) for m in models]
     npt.assert_allclose(got, want, rtol=1e-13)
@@ -344,25 +330,78 @@ def mixed_complex_parent():
     )
 
 
-class TestFactoredErrorNorm:
-    """The r-sized error norm on the parent's Gramian factor, and its fallback."""
+def record_eigh_sizes(monkeypatch, modules=(np.linalg, sla)):
+    """Sizes of the Hermitian eigensolves of ``modules``' eigh, in call order."""
+    sizes = []
+    for module in modules:
+        inner = module.eigh
 
-    def test_mixed_parent_rows_match_stacked_route(self, monkeypatch):
+        def recording(a, *args, _inner=inner, **kwargs):
+            sizes.append(a.shape[0])
+            return _inner(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, "eigh", recording)
+    return sizes
+
+
+class TestFactoredErrorNorm:
+    """The r-sized error norm on the parent's Gramian factor, the one path error_norm takes."""
+
+    def test_mixed_parent_rows_match_stacked_route(self):
         # The mixed-stability benchmark parent, whose models are badly
         # scaled: on its late rows the stacked solve and the (n + r)-sized
-        # assembly of error_norm disagree with each other by up to 4e-7.
-        # Every row agrees with the stacked solve to 1e-7 beyond that
+        # assembly of error_norm's blocks disagree with each other by up to
+        # 4e-7.  Every row agrees with the stacked solve to 1e-7 beyond that
         # disagreement.
-        taken = record_factored_path(monkeypatch)
         g = mixed_complex_parent()
         strategy = SelectionStrategy.discrete(omega_min=1e-2, omega_max=1e2, K=200)
         trace = reduce(g, ReducerConfig(strategy, max_order=24, track_error=True))
-        assert taken == [True] * 24
         got = np.array([row.error_norm for row in trace.rows])
+        assert got.size == 24 and np.isfinite(got).all()
         want = np.array([math.sqrt(h2_norm_sq(series_sub(g, row.model))) for row in trace.rows])
-        force_fallback(monkeypatch)
-        assembled = np.array([error_norm(g, row.model).value for row in trace.rows])
+        assembled = np.array([assembled_error_norm(g, row.model) for row in trace.rows])
         assert np.all(np.abs(got - want) <= 1e-7 * want + np.abs(assembled - want))
+
+    @pytest.mark.parametrize(
+        "make_parent, cfg",
+        [
+            (
+                lambda: random_mixed(30, 10, 2, 2, seed=45, field="complex"),
+                ReducerConfig(
+                    SelectionStrategy.discrete(K=80), max_order=12, rho=0.999, gamma_rel_tol=1e-300
+                ),
+            ),
+            (
+                lambda: random_mixed(30, 10, 2, 2, seed=45, field="complex"),
+                ReducerConfig(
+                    SelectionStrategy.max_error(), max_order=8, rho=0.999, gamma_rel_tol=1e-300
+                ),
+            ),
+            (
+                lambda: random_stable(30, 2, 2, seed=46),
+                ReducerConfig(SelectionStrategy.discrete(K=50), max_order=10, rho=0.999),
+            ),
+        ],
+        ids=["mixed-discrete", "mixed-maxerr", "stable-discrete"],
+    )
+    def test_noise_cut_measures_every_row_at_r_size(self, monkeypatch, make_parent, cfg):
+        # Rows whose Schur complement S picked up a negative part from
+        # dividing by eigenvalues of the parent's Gramian below eps times
+        # its largest: with those left out of the pseudo-inverse, every row
+        # is measured at r-size.  The only eigensolve of size n or more is
+        # the parent's factor, and each value agrees with the stacked
+        # error system's guarded trace within the guard's threshold.
+        g = make_parent()
+        sizes = record_eigh_sizes(monkeypatch)
+        trace = reduce(g, cfg)
+        assert [n for n in sizes if n >= g.n] == [g.n]
+        assert all(n <= cfg.max_order for n in sizes if n < g.n)
+        got = np.array([row.error_norm**2 for row in trace.rows])
+        assert got.size >= 5 and np.isfinite(got).all()
+        g_sq = h2_norm_sq(g)
+        for value, row in zip(got, trace.rows):
+            want = h2_norm_sq(series_sub(g, row.model))
+            assert abs(value - want) <= 1e-6 * max(value, g_sq)
 
     def test_well_scaled_run_factors_nothing_error_sized(self, monkeypatch):
         # The CLI benchmark's configuration on the 270-state parent: the one
@@ -389,7 +428,8 @@ class TestFactoredErrorNorm:
         # maps of norm 1e4 to 1e7.  Every row the loop measures agrees with
         # quadrature of G - R within the guard's threshold, 1e-6 times the
         # larger of the value and ||g||^2 (no more than the summed block
-        # norms); a row that cannot be vouched for is NaN.  G comes from the
+        # norms), and quadrature's own error estimate lies inside that band;
+        # a row that cannot be vouched for is NaN.  G comes from the
         # eigendecomposition of the parent (cond(V) about 500), checked
         # against the dense solve.
         g = convection_diffusion(16, seed=1)
@@ -409,11 +449,15 @@ class TestFactoredErrorNorm:
         assert measured
         for row in measured:
             r = row.model
-            want = h2_sq_quadrature(
-                series_sub(g, r), response=lambda s, r=r: parent(s) - naive_tf(r, s)
+            want, want_err = h2_sq_quadrature(
+                series_sub(g, r),
+                response=lambda s, r=r: parent(s) - naive_tf(r, s),
+                with_error=True,
             )
             got = row.error_norm**2
-            assert abs(got - want) <= 1e-6 * max(got, g_sq)
+            band = 1e-6 * max(got, g_sq)
+            assert want_err < band
+            assert abs(got - want) <= band
 
 
 class TestRoundingGuard:
@@ -483,12 +527,6 @@ class TestRoundingGuard:
         monkeypatch.setattr(sla, "cholesky", cholesky_recording)
         return calls
 
-    @staticmethod
-    def assert_guard_sequence(calls, sizes):
-        # One solve for the eigenpairs in (-inf, 0] per (n + r) Gramian,
-        # and no Cholesky factorization.
-        assert calls == [("eigh", n, (-np.inf, 0.0)) for n in sizes]
-
     @pytest.mark.parametrize(
         "parent, strategy",
         [
@@ -503,45 +541,29 @@ class TestRoundingGuard:
         # The parent's PSD factor is the one full spectrum a tracked run
         # needs; the r-sized error norm adds eigensolves of order r only.  The
         # (n + r)-sized guard, run on the same run's error systems through
-        # h2_norm_sq and inside error_norm on rows that fall back, asks for
-        # the non-positive eigenpairs of each Gramian once.
+        # h2_norm_sq, asks for the non-positive eigenpairs of each Gramian
+        # once.
         calls = self.record_factorizations(monkeypatch)
         cfg = ReducerConfig(strategy, max_order=8, track_error=True)
         trace = reduce(parent, cfg)
         assert trace.rows and all(math.isfinite(row.error_norm) for row in trace.rows)
-        sizes = [parent.n + row.order for row in trace.rows]
         big = [(kind, n) for kind, n, _ in calls if kind == "cholesky" or n > cfg.max_order]
         assert big == [("eigh", parent.n)]
 
         calls.clear()
         for row in trace.rows:
             h2_norm_sq(series_sub(parent, row.model))
-        self.assert_guard_sequence(calls, sizes)
-
-        force_fallback(monkeypatch)
-        calls.clear()
-        fallback = reduce(parent, cfg)
-        assert [row.order for row in fallback.rows] == [row.order for row in trace.rows]
-        self.assert_guard_sequence(calls, sizes)
-
-    @staticmethod
-    def record_eigh_sizes(monkeypatch):
-        sizes = []
-        sp_eigh = sla.eigh
-
-        def recording(a, *args, **kwargs):
-            sizes.append(a.shape[0])
-            return sp_eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(sla, "eigh", recording)
-        return sizes
+        # One solve for the eigenpairs in (-inf, 0] per (n + r) Gramian, and
+        # no Cholesky factorization.
+        assert calls == [("eigh", parent.n + row.order, (-np.inf, 0.0)) for row in trace.rows]
 
     def test_block_norms_certify_a_small_error(self, monkeypatch):
         # An error far below the parent's norm, where 1e-6 times the value
         # alone is below the rounding level of the (n + r) trace: the
         # threshold 1e-6 times the summed block norms (those of g and r)
-        # lets both paths measure it.  The r-sized path settles the row; the
-        # (n + r) path runs its one range solve and agrees.
+        # lets both error_norm and the guard of h2_norm_sq measure it.
+        # error_norm settles it at r-size; the guard, on the stacked error
+        # system, runs its one range solve and agrees.
         g = random_stable(20, 2, 2, seed=43)
         r = balanced_truncation(g, 11)
         err = series_sub(g, r)
@@ -549,16 +571,29 @@ class TestRoundingGuard:
         value = float(np.trace(err.C @ theta @ err.C.T))
         rounding = 2 * err.n * np.finfo(float).eps * np.trace(theta) * np.linalg.norm(err.C) ** 2
         assert rounding > 1e-6 * value
-        sizes = self.record_eigh_sizes(monkeypatch)
-        taken = record_factored_path(monkeypatch)
+        sizes = record_eigh_sizes(monkeypatch, (sla,))
         factored = error_norm(g, r).value
-        assert taken == [True] and sizes == []
+        assert sizes == []
 
-        force_fallback(monkeypatch)
-        got = error_norm(g, r).value
+        got = h2_norm_sq(err)
         assert sizes == [err.n]
         assert math.isfinite(got)
-        assert abs(factored**2 - got**2) <= 1e-6 * max(got**2, h2_norm_sq(g))
+        assert abs(factored**2 - got) <= 1e-6 * max(got, h2_norm_sq(g))
+
+    def test_refusal_names_the_bound_terms(self, reduced):
+        # The refusal gives each of the bound's four terms and tau, and the
+        # terms it gives sum to more than tau.
+        g, r = reduced
+        with pytest.raises(IllConditionedLyapunov) as info:
+            error_norm(g, self.similar(r, np.logspace(0, -8, r.n)))
+        message = str(info.value)
+        terms = {}
+        for name in ("negative part of S", "residual", "parent noise", "allowance"):
+            found = re.search(r"([-+.0-9e]+) \(" + name + r"\)", message)
+            assert found, name
+            terms[name] = float(found.group(1))
+        tau = float(re.search(r"tau = ([-+.0-9e]+)", message).group(1))
+        assert sum(terms.values()) > tau
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_zero_order_model(self, field):
@@ -569,16 +604,16 @@ class TestRoundingGuard:
         npt.assert_allclose(got**2, h2_norm_sq(g), rtol=1e-12)
 
     def test_ill_scaled_realization_reaches_eigensolve(self, monkeypatch, reduced):
-        # The cond-1e8 realization fails the r-sized bound and falls back;
-        # there the guard's eigensolve runs and trips, as it does on the
-        # stacked error system.
+        # The cond-1e8 realization fails the r-sized bound, on its
+        # allowance for the model's output map, and error_norm refuses it
+        # with no eigensolve of size n + r.  On the stacked error system the
+        # guard's eigensolve runs and trips.
         g, r = reduced
         r_t = self.similar(r, np.logspace(0, -8, r.n))
-        sizes = self.record_eigh_sizes(monkeypatch)
-        taken = record_factored_path(monkeypatch)
-        with pytest.raises(IllConditionedLyapunov, match="rounding error"):
+        sizes = record_eigh_sizes(monkeypatch)
+        with pytest.raises(IllConditionedLyapunov, match="allowance"):
             error_norm(g, r_t)
-        assert taken == [False] and sizes == [g.n + r.n]
+        assert all(n < g.n + r.n for n in sizes)
         sizes.clear()
         with pytest.raises(IllConditionedLyapunov, match="rounding error"):
             h2_norm_sq(series_sub(g, r_t))
@@ -635,7 +670,6 @@ class TestImaginaryAxisBand:
         # split is converted from its kept real form; with a complex g and a
         # real r, the pair is checked on r's.
         g = random_stable(6, 2, 2, seed=3, field=g_field)
-        tanmor.gramians._parent_context(g).gramian(g)  # the parent's evaluator runs its eig
         forbid_eigensolvers(monkeypatch)
         with pytest.raises(InvariantViolation, match="imaginary axis"):
             error_norm(g, near_axis_model(0.5, r_field))

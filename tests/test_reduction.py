@@ -239,8 +239,8 @@ class TestReduce:
     def test_rounding_swamped_rows_stay_nan(self, swamped_run):
         # Every row from order 8 on is refused.  At order 8 the r x r Schur
         # complement has no negative eigenvalue; only the rounding allowance
-        # for the model's output map (about 400 times the threshold) sends
-        # the row to the (n + r) guard, which refuses it.
+        # for the model's output map (about 400 times the threshold) refuses
+        # the row.
         _, trace = swamped_run
         assert [row.order for row in trace.rows if math.isnan(row.error_norm)] == list(
             range(8, 14)
