@@ -658,8 +658,32 @@ def _local_peak(omegas: list, i: int, sigma_slope) -> float | None:
     return near
 
 
-def _peak_search(sys: StateSpace, candidates, sigma_max, sigma_slope, rtol: float) -> PeakGain:
-    """Bruinsma-Steinbuch search for the peak of the response of ``sys``.
+def _hamiltonian(sys: StateSpace, gamma: float) -> np.ndarray:
+    """The 2n x 2n Hamiltonian whose imaginary eigenvalues are the level-gamma crossings.
+
+    Built block by block into one array, so no stacked copies of it exist.
+    """
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    n, p, q = sys.n, sys.p, sys.q
+    Rinv = np.linalg.inv(gamma * gamma * np.eye(q) - D.conj().T @ D)
+    ham = np.empty((2 * n, 2 * n), dtype=np.result_type(A, B, C, D))
+    Acl = A + B @ Rinv @ D.conj().T @ C
+    ham[:n, :n] = Acl
+    ham[n:, n:] = -Acl.conj().T
+    del Acl
+    ham[:n, n:] = B @ Rinv @ B.conj().T
+    ham[n:, :n] = -C.conj().T @ (np.eye(p) + D @ Rinv @ D.conj().T) @ C
+    return ham
+
+
+def _peak(omega: float, gain: float, sigma_d: float) -> PeakGain:
+    if math.isinf(omega):
+        return PeakGain(math.inf, sigma_d)
+    return PeakGain(omega, gain)
+
+
+def _peak_search(sys: StateSpace, candidates, sigma_max, sigma_slope, rtol: float):
+    """Bruinsma-Steinbuch search for the peak of the response of ``sys``, as a generator.
 
     ``sigma_max`` maps a list of frequencies to the largest singular values
     of the response of ``sys`` there, and ``sigma_slope`` maps one
@@ -675,10 +699,20 @@ def _peak_search(sys: StateSpace, candidates, sigma_max, sigma_slope, rtol: floa
     (1 + rtol) times the best value and scans the midpoints of its
     imaginary-eigenvalue frequencies.  With the local maximum in hand, the
     first round usually finds no such frequency and certifies the gain.
+
+    The eigensolve of each round is left to the caller: the generator
+    yields ``(ham, provisional)``, where ``provisional`` is the
+    :class:`PeakGain` that the round certifies if ``ham`` has no
+    imaginary eigenvalue that improves on it, and takes the eigenvalues of
+    ``ham`` back through ``send``.  The search's result is the generator's
+    return value; it equals the last provisional peak unless the search
+    raises.  The generator keeps no reference to ``ham``.
+    :func:`_solved` drives it on the calling thread; :func:`tanmor.reduce`
+    hands each ``ham`` to a worker thread and goes on with the
+    provisional peak.
     """
     if not 0.0 < rtol < 0.5:
         raise ValueError(f"rtol must lie in (0, 0.5), got {rtol}")
-    p, q = sys.p, sys.q
     sd = np.linalg.svd(sys.D, compute_uv=False) if sys.D.size else np.zeros(0)
     sigma_d = float(sd[0]) if sd.size else 0.0
     if sys.n == 0:
@@ -703,19 +737,10 @@ def _peak_search(sys: StateSpace, candidates, sigma_max, sigma_slope, rtol: floa
             if s > best_gain * (1.0 + 2.0 * eps):
                 best_gain, best_w = s, w
 
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
     for _ in range(PEAK_SEARCH_MAX_ROUNDS):
         gamma = best_gain * (1.0 + 2.0 * eps)
-        R = gamma * gamma * np.eye(q) - D.conj().T @ D
-        Rinv = np.linalg.inv(R)
-        Acl = A + B @ Rinv @ D.conj().T @ C
-        ham = np.block(
-            [
-                [Acl, B @ Rinv @ B.conj().T],
-                [-C.conj().T @ (np.eye(p) + D @ Rinv @ D.conj().T) @ C, -Acl.conj().T],
-            ]
-        )
-        freqs = _imag_eig_frequencies(np.linalg.eigvals(ham), sys.is_real)
+        eigs = yield _hamiltonian(sys, gamma), _peak(best_w, best_gain, sigma_d)
+        freqs = _imag_eig_frequencies(eigs, sys.is_real)
         if freqs.size == 0:
             break
         mids = list(freqs if freqs.size == 1 else 0.5 * (freqs[1:] + freqs[:-1]))
@@ -730,10 +755,17 @@ def _peak_search(sys: StateSpace, candidates, sigma_max, sigma_slope, rtol: floa
             f"peak search not certified after {PEAK_SEARCH_MAX_ROUNDS} Hamiltonian "
             f"rounds (best gain {best_gain:.6g} at omega={best_w:.6g})"
         )
+    return _peak(best_w, best_gain, sigma_d)
 
-    if math.isinf(best_w):
-        return PeakGain(math.inf, sigma_d)
-    return PeakGain(best_w, best_gain)
+
+def _solved(search):
+    """Run a peak search (see :func:`_peak_search`) to its result, solving each Hamiltonian here."""
+    try:
+        ham, _ = next(search)
+        while True:
+            ham, _ = search.send(np.linalg.eigvals(ham))
+    except StopIteration as done:
+        return done.value
 
 
 def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
@@ -752,9 +784,12 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
     only the absence of imaginary-axis poles.  Each response and slope is
     a dense solve against ``sys``; no response is cached between calls.
     The candidate poles come from :meth:`StateSpace.poles`, which keeps
-    the Schur form of ``sys``.
+    the Schur form of ``sys``.  Every Hamiltonian is solved on the calling
+    thread, one round after another.
     :func:`tanmor.select_max_error` runs the same search on an error
-    system g - r, with the responses of g cached per parent.
+    system g - r, with the responses of g cached per parent, and
+    :func:`tanmor.reduce` runs it with each certifying eigensolve on a
+    worker thread.
 
     Parameters
     ----------
@@ -777,12 +812,14 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
         If no round certifies the gain within ``PEAK_SEARCH_MAX_ROUNDS``
         Hamiltonian rounds.
     """
-    return _peak_search(
-        sys,
-        _pole_candidates(sys.poles(), sys.is_real),
-        lambda omegas: _sigma_max_batch([eval_tf(sys, 1j * w) for w in omegas]),
-        lambda w: _sigma_max_slope(*_dense_response_slope(sys, w)),
-        rtol,
+    return _solved(
+        _peak_search(
+            sys,
+            _pole_candidates(sys.poles(), sys.is_real),
+            lambda omegas: _sigma_max_batch([eval_tf(sys, 1j * w) for w in omegas]),
+            lambda w: _sigma_max_slope(*_dense_response_slope(sys, w)),
+            rtol,
+        )
     )
 
 

@@ -4,7 +4,10 @@
 the existing samples, grow the interpolation data, re-solve the output
 weights, and assemble the next reduced model.  Every iteration is recorded
 as a :class:`TraceRow`, including snapshots of the intermediate model and
-data so diagnostics can replay any step.
+data so diagnostics can replay any step.  A max-error proposal is
+certified by a Hamiltonian eigensolve on a worker thread while the loop
+goes on with the provisional frequency; a row is recorded only once its
+certificate confirms it.
 
 :func:`balanced_truncation` provides the classical square-root baseline
 for stable systems, and :func:`sweep_orders` tabulates both methods over a
@@ -17,6 +20,8 @@ import dataclasses
 import math
 import time
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,9 +39,9 @@ from .selection import (
     SelectionStrategy,
     SplitMix64,
     StrategyKind,
+    _max_error_search,
     refine,
     select_discrete,
-    select_max_error,
     select_random,
 )
 from .weights import solve_weights
@@ -131,7 +136,12 @@ class TraceRow:
     imaginary-axis pole, a solve failed, or the rounding bound exceeded the
     guard's threshold).  ``model`` and
     ``data`` snapshot the reduced system and the interpolation state as of
-    this iteration's end.
+    this iteration's end.  ``seconds`` is the row's latency: wall time from
+    the start of its proposal until its model and the certificate of its
+    frequency both exist.  Max-error rows overlap in time (the next
+    proposal starts while a row waits for its certificate, see
+    :func:`reduce`), so their seconds add up to more than the run's wall
+    time; on discrete and random runs the rows follow one another.
     """
 
     iteration: int
@@ -171,13 +181,67 @@ class ReductionTrace:
         return best
 
 
-def _propose(sys, model, cfg: ReducerConfig, rng: SplitMix64 | None) -> float:
+class _State(NamedTuple):
+    """What the loop carries from one iteration to the next."""
+
+    data: InterpData
+    weights: np.ndarray
+    model: StateSpace
+    gamma: float
+    last_err: float
+
+
+class _Step(NamedTuple):
+    """One iteration's outcome before it is recorded: the state after it and its row's fields."""
+
+    state: _State
+    omega: float
+    r_min: int
+    r_max: int
+    error_norm: float
+    stable: bool
+
+    def row(self, iteration: int, seconds: float) -> TraceRow:
+        s = self.state
+        return TraceRow(
+            iteration=iteration,
+            omega=self.omega,
+            r_min=self.r_min,
+            r_max=self.r_max,
+            order=s.data.total_order,
+            gamma=s.gamma,
+            error_norm=self.error_norm,
+            stable=self.stable,
+            seconds=seconds,
+            model=s.model,
+            data=s.data,
+        )
+
+
+def _proposal(sys, model, cfg: ReducerConfig, rng: SplitMix64 | None):
+    """The next frequency, as a generator that returns it.
+
+    Max-error selection yields its Hamiltonians as :func:`_max_error_search`
+    does; the other rules yield nothing.
+    """
     kind = cfg.strategy.kind
     if kind is StrategyKind.MAX_ERROR:
-        return select_max_error(sys, model)
+        return (yield from _max_error_search(sys, model))
     if kind is StrategyKind.DISCRETE:
         return select_discrete(sys, model, cfg.strategy.grid)
     return select_random(sys, model, cfg.strategy, rng)
+
+
+def _resume(proposal, eigs):
+    """The proposal's frequency once it is chosen, else its next ``(ham, provisional frequency)``."""
+    try:
+        return proposal.send(eigs)
+    except StopIteration as done:
+        return done.value
+
+
+def _halted(exc: BaseException) -> str:
+    return f"halted[{type(exc).__name__}]: {exc}"
 
 
 def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
@@ -195,6 +259,22 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
     keeps the last completed state, with the cause recorded in
     ``stop_reason``.
 
+    With max-error selection, the Hamiltonian eigensolve that certifies an
+    iteration's frequency runs on one worker thread, started with the
+    first such solve and joined before this returns.  Meanwhile this
+    thread completes the iteration with the provisional frequency and
+    takes the next iteration's proposal through its first Hamiltonian,
+    which it solves itself.  The iteration is recorded only once its
+    certificate confirms the frequency.  If the certificate moves the
+    frequency (the search needs another round), or the solve or the search
+    raises, that work is thrown away and the iteration goes on from the
+    last recorded state, as a run without the worker would.  So rows,
+    models and ``stop_reason`` are those of a sequential run, bit for bit;
+    only a row's ``seconds`` differ: each row's time runs from the start
+    of its proposal until its model and its certificate both exist, so
+    the rows of a max-error run overlap in time.  Discrete and random
+    selection yield no Hamiltonian and run on the calling thread alone.
+
     Raises
     ------
     InvariantViolation
@@ -206,9 +286,6 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
     data = InterpData.empty(sys)
     base = solve_weights(sys, gram, data)
     gamma0 = base.gamma
-    weights = base.w
-    model = realize_r(data, weights, sys.D)
-    gamma = gamma0
 
     track = cfg.track_error or cfg.error_rel_tol is not None
     rng = (
@@ -217,30 +294,28 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
         else None
     )
 
-    rows: list[TraceRow] = []
-    last_err = math.inf
-    reason = "max-iters"
-    for it in range(1, cfg.max_iters + 1):
-        if gamma <= cfg.gamma_rel_tol * gamma0:
-            reason = "converged-gamma"
-            break
-        if cfg.error_rel_tol is not None and last_err <= cfg.error_rel_tol * math.sqrt(
+    def stop_reason(state: _State, it: int) -> str | None:
+        if it > cfg.max_iters:
+            return "max-iters"
+        if state.gamma <= cfg.gamma_rel_tol * gamma0:
+            return "converged-gamma"
+        if cfg.error_rel_tol is not None and state.last_err <= cfg.error_rel_tol * math.sqrt(
             gamma0
         ):
-            reason = "converged-error"
-            break
-        if data.total_order >= cfg.max_order:
-            reason = "max-order"
-            break
-        t0 = time.perf_counter()
+            return "converged-error"
+        if state.data.total_order >= cfg.max_order:
+            return "max-order"
+        return None
+
+    def advance(state: _State, omega: float) -> _Step | str:
+        """The iteration after its proposal, or the reason the loop stops there."""
+        data = state.data
         try:
-            omega = _propose(sys, model, cfg, rng)
             ref = refine(sys, data.points, omega, cfg.mu, cfg.rho)
             per_direction = 2 if sys.is_real and ref.omega > 0.0 else 1
             allowed = (cfg.max_order - data.total_order) // per_direction
             if allowed < 1:
-                reason = "max-order"
-                break
+                return "max-order"
             r_hi = min(ref.r_max, ref.r_min + allowed - 1)
             pt = truncated_point(ref.response, ref.r_min, r_hi)
             if ref.merged_index is None:
@@ -249,13 +324,10 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
                 data = extend_point(data, sys, ref.merged_index, pt)
             sol = solve_weights(sys, gram, data)
         except (TanmorError, np.linalg.LinAlgError) as exc:
-            reason = f"halted[{type(exc).__name__}]: {exc}"
-            break
-        weights = sol.w
-        gamma = sol.gamma
-        model = realize_r(data, weights, sys.D)
+            return _halted(exc)
+        model = realize_r(data, sol.w, sys.D)
         stable = is_strictly_stable(model)
-        err_val = math.nan
+        err_val, last_err = math.nan, state.last_err
         if track:
             try:
                 err_val = last_err = error_norm(sys, model).value
@@ -264,23 +336,88 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
                 # has no finite norm (or defeats the solver) still gets
                 # recorded, and the objective keeps driving the stop logic.
                 pass
-        rows.append(
-            TraceRow(
-                iteration=it,
-                omega=ref.omega,
-                r_min=ref.r_min,
-                r_max=r_hi,
-                order=data.total_order,
-                gamma=gamma,
-                error_norm=err_val,
-                stable=stable,
-                seconds=time.perf_counter() - t0,
-                model=model,
-                data=data,
-            )
-        )
+        after = _State(data, sol.w, model, sol.gamma, last_err)
+        return _Step(after, ref.omega, ref.r_min, r_hi, err_val, stable)
 
-    return ReductionTrace(tuple(rows), model, weights, data, gamma0, reason)
+    def speculate(state: _State, omega: float, it: int):
+        """Iteration ``it`` on a provisional frequency, and the next one's proposal.
+
+        Returns the step (None if it raised), the time it was done and,
+        when the loop would go on after it, ``(start time, proposal, its
+        reply)`` for iteration ``it + 1``: the proposal's first Hamiltonian
+        is solved here, on this thread, while the worker certifies
+        ``omega``.  Anything that raises is left out; it is redone from the
+        recorded state if ``omega`` is certified, and raises there if it
+        must.
+        """
+        try:
+            step = advance(state, omega)
+        except Exception:
+            return None, None, None
+        done = time.perf_counter()
+        if isinstance(step, str) or stop_reason(step.state, it + 1) is not None:
+            return step, done, None
+        proposal = _proposal(sys, step.state.model, cfg, rng)
+        try:
+            ask = _resume(proposal, None)
+            if isinstance(ask, tuple):
+                ask = _resume(proposal, np.linalg.eigvals(ask[0]))
+        except Exception:
+            return step, done, None
+        return step, done, (done, proposal, ask)
+
+    rows: list[TraceRow] = []
+    state = _State(data, base.w, realize_r(data, base.w, sys.D), gamma0, math.inf)
+    it, ahead = 1, None
+    # The one worker thread, started by the first Hamiltonian; discrete and
+    # random runs start none.
+    worker: ThreadPoolExecutor | None = None
+    try:
+        while True:
+            if ahead is None:
+                reason = stop_reason(state, it)
+                if reason is not None:
+                    break
+                t0, proposal, ask = time.perf_counter(), _proposal(sys, state.model, cfg, rng), None
+            else:
+                (t0, proposal, ask), ahead = ahead, None
+            step = None
+            try:
+                if ask is None:
+                    ask = _resume(proposal, None)
+                while isinstance(ask, tuple):
+                    # A Hamiltonian to certify the provisional frequency
+                    # with: solved by the worker while this thread goes on.
+                    # The worker reads the clock as soon as it is solved.
+                    if worker is None:
+                        worker = ThreadPoolExecutor(max_workers=1)
+                    ham, omega = ask
+                    certificate = worker.submit(np.linalg.eigvals, ham)
+                    certified = worker.submit(time.perf_counter)
+                    del ask, ham
+                    step, modelled, ahead = speculate(state, omega, it)
+                    ask = _resume(proposal, certificate.result())
+                    if not (isinstance(ask, float) and ask == omega):
+                        step = ahead = None
+            except (TanmorError, np.linalg.LinAlgError) as exc:
+                reason = _halted(exc)
+                break
+            if step is None:
+                step = advance(state, ask)
+                finished = time.perf_counter()
+            else:
+                finished = max(modelled, certified.result())
+            if isinstance(step, str):
+                reason = step
+                break
+            rows.append(step.row(it, finished - t0))
+            state = step.state
+            it += 1
+    finally:
+        if worker is not None:
+            worker.shutdown()
+
+    return ReductionTrace(tuple(rows), state.model, state.weights, state.data, gamma0, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .gramians import (
     _pole_candidates,
     _sigma_max_batch,
     _sigma_max_slope,
+    _solved,
 )
 from .interpolation import InterpPoint, RANK_FLOOR_RTOL
 from .lti import (
@@ -209,7 +210,11 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
     the modal evaluator of a badly scaled r is off by enough to move the
     root of the slope.  The Hamiltonian test on the stacked error system
     ``series_sub(g, r)`` then certifies the result, usually in its first
-    round, as in :func:`tanmor.peak_gain`.
+    round, as in :func:`tanmor.peak_gain`.  Each Hamiltonian is solved on
+    the calling thread; :func:`tanmor.reduce` runs the same search, but
+    solves the certifying Hamiltonian on a worker thread while it goes on
+    with the provisional frequency, and keeps that work only once the
+    certificate confirms it.
 
     A plateau-at-infinity result is mapped to 10 times the largest pole
     magnitude of the error system (there is no finite argmax to return);
@@ -220,6 +225,17 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
     ------
     PeakSearchNotConverged
         If the search runs out of Hamiltonian rounds.
+    """
+    return _solved(_max_error_search(g, r, rtol))
+
+
+def _max_error_search(g: StateSpace, r: StateSpace, rtol: float = 1e-6):
+    """:func:`select_max_error` as a generator, in the protocol of :func:`_peak_search`.
+
+    It yields ``(ham, omega)``: a Hamiltonian to solve and the frequency
+    that is returned if its eigenvalues certify the current peak.  The
+    generator returns the selected frequency and keeps no reference to
+    ``ham``.
     """
     err = series_sub(g, r)
     poles = np.concatenate([g.poles(), r.poles()])
@@ -232,14 +248,25 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
         rv, rd = _dense_response_slope(r, w)
         return _sigma_max_slope(gv - rv, gd - rd)
 
-    candidates = _pole_candidates(poles, err.is_real)
-    pg = _peak_search(err, candidates, sigma_max, sigma_slope, rtol)
-    w = pg.omega_star
-    if math.isinf(w):
-        w = 10.0 * float(np.max(np.abs(poles))) if poles.size else 1.0
-    if g.is_real and r.is_real:
-        w = abs(w)
-    return float(w)
+    def locate(peak):
+        w = peak.omega_star
+        if math.isinf(w):
+            w = 10.0 * float(np.max(np.abs(poles))) if poles.size else 1.0
+        if g.is_real and r.is_real:
+            w = abs(w)
+        return float(w)
+
+    def located(request):
+        ham, peak = request
+        return ham, locate(peak)
+
+    search = _peak_search(err, _pole_candidates(poles, err.is_real), sigma_max, sigma_slope, rtol)
+    eigs = None
+    while True:
+        try:
+            eigs = yield located(search.send(eigs))
+        except StopIteration as done:
+            return locate(done.value)
 
 
 def select_discrete(g: StateSpace, r: StateSpace, grid) -> float:

@@ -8,7 +8,6 @@ fast paths against implementations too simple to share their bugs.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import scipy.integrate
@@ -18,11 +17,29 @@ from tanmor import (
     DimensionMismatch,
     EmptyGrid,
     IllConditionedLyapunov,
+    InterpData,
+    ReductionTrace,
+    SplitMix64,
     StateSpace,
+    StrategyKind,
+    TanmorError,
+    TraceRow,
+    append_point,
+    controllability_gramian,
+    error_norm,
+    extend_point,
     freq_sweep,
+    is_strictly_stable,
     peak_gain,
     psd_factor,
+    realize_r,
+    refine,
+    select_discrete,
+    select_max_error,
+    select_random,
     series_sub,
+    solve_weights,
+    truncated_point,
 )
 
 # ---------------------------------------------------------------------------
@@ -142,7 +159,7 @@ def naive_tf(sys, s):
     return sys.C @ np.linalg.solve(shifted, sys.B.astype(complex)) + sys.D
 
 
-def h2_sq_quadrature(sys, rtol=1e-10, response=None, with_error=False):
+def h2_sq_quadrature(sys, rtol=1e-10, response=None, with_error=False, atol=0.0):
     """Squared H2 norm by adaptive quadrature of the response.
 
     Real systems use the single-sided convention (1/pi) * int_0^inf of the
@@ -151,9 +168,14 @@ def h2_sq_quadrature(sys, rtol=1e-10, response=None, with_error=False):
     ``response(s)``, when given, evaluates the strictly proper response of
     ``sys`` at s in place of the dense solve (a caller that can evaluate a
     large part of ``sys`` faster, and has checked that against the dense
-    solve); the breakpoints still come from the poles of ``sys``.  With
-    ``with_error`` set, returns ``(value, abserr)``: ``abserr`` is the sum
-    of ``quad``'s own error estimates over the pieces, in the same scaling.
+    solve); the breakpoints still come from the poles of ``sys``.  Each
+    piece stops at the looser of ``rtol`` relative to its own value and
+    an even share of ``atol``, an absolute target on the returned value.
+    With ``with_error`` set, returns ``(value, abserr)``: ``abserr`` is the
+    sum of ``quad``'s own error estimates over the pieces, in the same
+    scaling, and is infinite when ``quad`` reports that some piece missed
+    its target (roundoff detected, subdivision limit reached, ...), since
+    its estimate is then not a bound.
     """
     proper = StateSpace(sys.A, sys.B, sys.C, np.zeros_like(sys.D), sys.scalar_field)
     if response is None:
@@ -184,20 +206,22 @@ def h2_sq_quadrature(sys, rtol=1e-10, response=None, with_error=False):
             (cut, np.inf, None, 200),
             (-np.inf, -cut, None, 200),
         ]
-    # quad warns when it cannot meet epsrel: on the near-zero integrands of
-    # recovered models, where the error is rounding noise, and on error
-    # integrals near 1e-6 (the convection-diffusion rows).  ``with_error``
-    # returns its error estimate, so a caller can check it against its bound.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        parts = [
-            scipy.integrate.quad(f, lo, hi, points=points, limit=limit, epsrel=rtol, epsabs=0.0)
-            for lo, hi, points, limit in pieces
-        ]
     scale = np.pi if sys.is_real else 2.0 * np.pi
-    value = sum(v for v, _ in parts) / scale
+    epsabs = atol * scale / len(pieces)
+    # full_output returns quad's message instead of warning: it cannot meet
+    # epsrel on the near-zero integrands of recovered models, where the
+    # error is rounding noise, nor where the integrand's own rounding noise
+    # is above rtol (the convection-diffusion rows near 1e-6).
+    parts = [
+        scipy.integrate.quad(
+            f, lo, hi, points=points, limit=limit, epsrel=rtol, epsabs=epsabs, full_output=1
+        )
+        for lo, hi, points, limit in pieces
+    ]
+    value = sum(part[0] for part in parts) / scale
     if with_error:
-        return value, sum(e for _, e in parts) / scale
+        missed = any(len(part) > 3 for part in parts)
+        return value, math.inf if missed else sum(part[1] for part in parts) / scale
     return value
 
 
@@ -267,6 +291,75 @@ def stacked_max_error(g, r, rtol=1e-6):
     if g.is_real and r.is_real:
         w = abs(w)
     return float(w)
+
+
+def sequential_reduce(sys, cfg):
+    """The greedy loop of ``tanmor.reduce``, written with public calls on one thread.
+
+    Each iteration selects a frequency (``select_max_error`` solves its
+    Hamiltonians here), refines it, grows the data, re-solves the weights,
+    realizes the model and measures it, and only then starts the next.
+    Returns a ``ReductionTrace`` whose rows carry ``seconds = 0.0``.
+    """
+    gram = controllability_gramian(sys)
+    data = InterpData.empty(sys)
+    base = solve_weights(sys, gram, data)
+    gamma0 = gamma = base.gamma
+    weights = base.w
+    model = realize_r(data, weights, sys.D)
+    track = cfg.track_error or cfg.error_rel_tol is not None
+    kind = cfg.strategy.kind
+    rng = SplitMix64(cfg.strategy.seed) if kind is StrategyKind.RANDOM else None
+    rows, last_err, reason = [], math.inf, "max-iters"
+    for it in range(1, cfg.max_iters + 1):
+        if gamma <= cfg.gamma_rel_tol * gamma0:
+            reason = "converged-gamma"
+            break
+        if cfg.error_rel_tol is not None and last_err <= cfg.error_rel_tol * math.sqrt(gamma0):
+            reason = "converged-error"
+            break
+        if data.total_order >= cfg.max_order:
+            reason = "max-order"
+            break
+        try:
+            if kind is StrategyKind.MAX_ERROR:
+                omega = select_max_error(sys, model)
+            elif kind is StrategyKind.DISCRETE:
+                omega = select_discrete(sys, model, cfg.strategy.grid)
+            else:
+                omega = select_random(sys, model, cfg.strategy, rng)
+            ref = refine(sys, data.points, omega, cfg.mu, cfg.rho)
+            per_direction = 2 if sys.is_real and ref.omega > 0.0 else 1
+            allowed = (cfg.max_order - data.total_order) // per_direction
+            if allowed < 1:
+                reason = "max-order"
+                break
+            r_hi = min(ref.r_max, ref.r_min + allowed - 1)
+            pt = truncated_point(ref.response, ref.r_min, r_hi)
+            if ref.merged_index is None:
+                data = append_point(data, sys, pt)
+            else:
+                data = extend_point(data, sys, ref.merged_index, pt)
+            sol = solve_weights(sys, gram, data)
+        except (TanmorError, np.linalg.LinAlgError) as exc:
+            reason = f"halted[{type(exc).__name__}]: {exc}"
+            break
+        weights, gamma = sol.w, sol.gamma
+        model = realize_r(data, weights, sys.D)
+        stable = is_strictly_stable(model)
+        err_val = math.nan
+        if track:
+            try:
+                err_val = last_err = error_norm(sys, model).value
+            except (TanmorError, np.linalg.LinAlgError):
+                pass
+        rows.append(
+            TraceRow(
+                it, ref.omega, ref.r_min, r_hi, data.total_order, gamma, err_val, stable,
+                0.0, model, data,
+            )
+        )
+    return ReductionTrace(tuple(rows), model, weights, data, gamma0, reason)
 
 
 def level_crossings(sys, gamma, tol=1e-8):

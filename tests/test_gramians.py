@@ -449,13 +449,18 @@ class TestFactoredErrorNorm:
         assert measured
         for row in measured:
             r = row.model
+            got = row.error_norm**2
+            band = 1e-6 * max(got, g_sq)
+            # Near 1e-6 (orders 18 and 20) the integrand's rounding noise is
+            # about 1e-8 of its value, so quad cannot reach rtol there and
+            # flags those pieces; it also stops once its estimate is 1e-6 of
+            # the band, which it meets on every piece.
             want, want_err = h2_sq_quadrature(
                 series_sub(g, r),
                 response=lambda s, r=r: parent(s) - naive_tf(r, s),
                 with_error=True,
+                atol=1e-6 * band,
             )
-            got = row.error_norm**2
-            band = 1e-6 * max(got, g_sq)
             assert want_err < band
             assert abs(got - want) <= band
 

@@ -3,6 +3,8 @@
 import collections
 import gc
 import math
+import os
+import threading
 import weakref
 from dataclasses import replace
 
@@ -11,9 +13,11 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
+import helpers
 import tanmor.gramians
 import tanmor.reduction
 import tanmor.selection
+from tanmor.selection import _max_error_search
 from tanmor import (
     IllConditionedLyapunov,
     IndexOutOfRange,
@@ -30,7 +34,6 @@ from tanmor import (
     hankel_values,
     reduce,
     refine,
-    select_max_error,
     series_sub,
     solve_weights,
     sweep_orders,
@@ -45,6 +48,7 @@ from helpers import (
     random_mixed,
     random_stable,
     resonance_peak,
+    sequential_reduce,
     stacked_max_error,
     uncached_discrete,
 )
@@ -52,6 +56,19 @@ from helpers import (
 
 def max_error_cfg(max_order, **kw):
     return ReducerConfig(SelectionStrategy.max_error(), max_order=max_order, **kw)
+
+
+def three_resonances():
+    # Three decoupled resonances: the first iteration takes the highest,
+    # at w = 1.  The second search then meets a sharp peak at w = 2 and
+    # a broad one 0.5% higher, whose pole candidates score about 1%
+    # below the sharp one, so it needs more than one Hamiltonian round.
+    sharp = resonance_peak(2.0, 5e-3)
+    return decoupled_resonances(
+        (1.0, 5e-3, 3.0 * sharp / resonance_peak(1.0, 5e-3)),
+        (2.0, 5e-3, 1.0),
+        (5.0, 0.3, 1.005 * sharp / resonance_peak(5.0, 0.3)),
+    )
 
 
 class TestConfigValidation:
@@ -255,12 +272,21 @@ class TestReduce:
 
     def test_max_error_matches_stacked_search(self, monkeypatch):
         # The selector with the parent's responses cached against the old
-        # dense solves on the stacked error system, over a whole run.
+        # dense solves on the stacked error system, over a whole run.  The
+        # substitute yields no Hamiltonian, so its run selects on this thread.
         sys = random_stable(40, 3, 3, seed=42)
         cfg = max_error_cfg(12, rho=0.999, gamma_rel_tol=1e-300)
         new = reduce(sys, cfg)
-        monkeypatch.setattr(tanmor.reduction, "select_max_error", stacked_max_error)
+        searched = []
+
+        def stacked_search(g, r, rtol=1e-6):
+            searched.append(r.n)
+            return stacked_max_error(g, r, rtol)
+            yield  # a generator, as the search it stands in for
+
+        monkeypatch.setattr(tanmor.reduction, "_max_error_search", stacked_search)
         old = reduce(sys, cfg)
+        assert searched[: len(old.rows)] == [0] + [row.order for row in old.rows[:-1]]
         assert new.stop_reason == old.stop_reason == "max-order"
         assert [row.order for row in new.rows] == [row.order for row in old.rows]
         npt.assert_allclose(
@@ -274,12 +300,14 @@ class TestReduce:
         # The local stage hands each Hamiltonian round a local maximum, so
         # the first round at (1 + rtol) times its gain certifies it: one
         # 2(n + r) x 2(n + r) eigvals per iteration, r the order before it.
+        # The solves run on two threads, so they are compared in order of
+        # size, which rises strictly with the iteration.
         sys = random_stable(40, 3, 3, seed=42)
         sizes = eigvals_sizes(monkeypatch)
         trace = reduce(sys, max_error_cfg(12, rho=0.999, gamma_rel_tol=1e-300))
         assert trace.stop_reason == "max-order"
         before = [0] + [row.order for row in trace.rows[:-1]]
-        assert [size for size in sizes if size >= 2 * sys.n] == [
+        assert sorted(size for size in sizes if size >= 2 * sys.n) == [
             2 * (sys.n + order) for order in before
         ]
 
@@ -537,38 +565,38 @@ class TestReduce:
             assert set(refined) <= set(seen), strategy.kind
 
     def test_unconverged_peak_search_halts_with_trace(self, monkeypatch):
-        # Three decoupled resonances: the first iteration takes the highest,
-        # at w = 1.  The second search then meets a sharp peak at w = 2 and
-        # a broad one 0.5% higher, whose pole candidates score about 1%
-        # below the sharp one, so it needs more than one Hamiltonian round.
-        sharp = resonance_peak(2.0, 5e-3)
-        sys = decoupled_resonances(
-            (1.0, 5e-3, 3.0 * sharp / resonance_peak(1.0, 5e-3)),
-            (2.0, 5e-3, 1.0),
-            (5.0, 0.3, 1.005 * sharp / resonance_peak(5.0, 0.3)),
-        )
-        sizes, rounds = eigvals_sizes(monkeypatch), []
+        sys = three_resonances()
+        rounds = []
 
         def counting(g, r, rtol=1e-6):
-            sizes.clear()
-            w = select_max_error(g, r, rtol)
-            rounds.append(sizes.count(2 * (g.n + r.n)))
-            return w
+            # Each search's Hamiltonian rounds; the search of iteration 2 is
+            # the second made, while iteration 1 is being certified.
+            rounds.append(0)
+            search, i, eigs = _max_error_search(g, r, rtol), len(rounds) - 1, None
+            while True:
+                try:
+                    request = search.send(eigs)
+                except StopIteration as done:
+                    return done.value
+                rounds[i] += 1
+                eigs = yield request
 
-        monkeypatch.setattr(tanmor.reduction, "select_max_error", counting)
+        monkeypatch.setattr(tanmor.reduction, "_max_error_search", counting)
         reduce(sys, max_error_cfg(6))
+        assert rounds[0] == 1
         assert rounds[1] >= 2
 
-        calls = []
+        searches = []
 
-        def capped_from_second_call(g, r, rtol=1e-6):
-            calls.append(1)
-            if len(calls) == 2:
+        def capped_from_second_search(g, r, rtol=1e-6):
+            searches.append(r.n)
+            if len(searches) == 2:
                 monkeypatch.setattr(tanmor.gramians, "PEAK_SEARCH_MAX_ROUNDS", 1)
-            return select_max_error(g, r, rtol)
+            return (yield from _max_error_search(g, r, rtol))
 
-        monkeypatch.setattr(tanmor.reduction, "select_max_error", capped_from_second_call)
+        monkeypatch.setattr(tanmor.reduction, "_max_error_search", capped_from_second_search)
         trace = reduce(sys, max_error_cfg(6))
+        assert len(searches) >= 2
         assert trace.stop_reason.startswith("halted[PeakSearchNotConverged]: ")
         assert len(trace.rows) == 1
         assert trace.model.n == trace.rows[0].order
@@ -611,6 +639,185 @@ class TestReduce:
         row = trace.row_at_order(probe)
         assert row.order == max(o for o in orders if o <= probe)
         assert trace.row_at_order(10 ** 6).order == orders[-1]
+
+
+def copied(sys):
+    """The same system as a new object, with no per-parent state of its own yet."""
+    return StateSpace(
+        sys.A.copy(), sys.B.copy(), sys.C.copy(), sys.D.copy(), scalar_field=sys.scalar_field
+    )
+
+
+def hex_rows(trace):
+    """Every row's values, floats as float.hex, and the stop reason."""
+    rows = [
+        (
+            row.iteration, row.omega.hex(), row.r_min, row.r_max, row.order,
+            row.gamma.hex(), row.error_norm.hex(), row.stable,
+        )
+        for row in trace.rows
+    ]
+    return rows, trace.stop_reason
+
+
+def library_entry_points(run):
+    """Call ``run()``; return its result and the first tanmor, NumPy or SciPy
+    function that each call chain entered on a thread started meanwhile."""
+    roots = tuple(os.path.dirname(m.__file__) for m in (tanmor.reduction, np, scipy))
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(roots):
+            caller = frame.f_back
+            if caller is None or not caller.f_code.co_filename.startswith(roots):
+                entered.append((frame.f_code.co_name, frame.f_code.co_filename))
+
+    threading.setprofile(profile)
+    try:
+        return run(), entered
+    finally:
+        threading.setprofile(None)
+
+
+class TestCertifiedPipeline:
+    """reduce certifies each max-error pick on a worker thread while it goes
+    on with the provisional frequency; its trace must be the sequential one."""
+
+    def check_against_sequential(self, sys, cfg):
+        threads = threading.active_count()
+        expected = hex_rows(sequential_reduce(copied(sys), cfg))
+        parent = copied(sys)
+        ref = weakref.ref(parent)
+        trace, entered = library_entry_points(lambda: reduce(parent, cfg))
+        assert hex_rows(trace) == expected
+        assert threading.active_count() == threads
+        # Only the Hamiltonian eigensolve (behind NumPy's dispatcher) runs
+        # off this thread, and it does run there.
+        linalg = os.path.dirname(np.linalg.__file__)
+        assert all(file.startswith(linalg) for _, file in entered)
+        assert {name for name, _ in entered} <= {"eigvals", "_unary_dispatcher"}
+        assert "eigvals" in {name for name, _ in entered}
+        del parent
+        gc.collect()
+        assert ref() is None
+        return trace
+
+    def test_flex_to_order_12(self):
+        cfg = ReducerConfig(
+            SelectionStrategy.max_error(), max_order=12, rho=0.999, gamma_rel_tol=1e-300
+        )
+        trace = self.check_against_sequential(flex_structure_model(), cfg)
+        assert trace.stop_reason == "max-order"
+        assert all(np.isfinite(row.error_norm) for row in trace.rows)
+
+    def test_complex_mixed_parent(self):
+        sys = random_mixed(30, 10, 2, 2, seed=45, field="complex")
+        trace = self.check_against_sequential(sys, max_error_cfg(8, rho=0.999))
+        assert len(trace.rows) >= 4
+
+    def test_moved_certificate_throws_speculation_away(self, monkeypatch):
+        # Iteration 2's first certificate moves its frequency, so the work
+        # done with the provisional one is thrown away: the pipelined run
+        # solves more Hamiltonians than the sequential one.
+        sys = three_resonances()
+        sizes = eigvals_sizes(monkeypatch)
+        sequential_reduce(copied(sys), max_error_cfg(6))
+        sequential = len(sizes)
+        # check_against_sequential runs the sequential loop once more first.
+        trace = self.check_against_sequential(sys, max_error_cfg(6))
+        pipelined = len(sizes) - 2 * sequential
+        assert pipelined > sequential
+        assert len(trace.rows) >= 2
+
+    def test_round_cap_from_iteration_2_halts_with_one_row(self, monkeypatch):
+        sys = three_resonances()
+        searches, max_rounds = [], tanmor.gramians.PEAK_SEARCH_MAX_ROUNDS
+
+        def capped_from_second_search(g, r, rtol=1e-6):
+            searches.append(r.n)
+            if len(searches) == 2:
+                monkeypatch.setattr(tanmor.gramians, "PEAK_SEARCH_MAX_ROUNDS", 1)
+            return (yield from _max_error_search(g, r, rtol))
+
+        monkeypatch.setattr(tanmor.reduction, "_max_error_search", capped_from_second_search)
+        threads = threading.active_count()
+        trace = reduce(copied(sys), max_error_cfg(6))
+        assert threading.active_count() == threads
+        assert len(searches) >= 2
+        assert len(trace.rows) == 1
+        assert trace.stop_reason.startswith("halted[PeakSearchNotConverged]: ")
+
+        searches.clear()
+        monkeypatch.setattr(tanmor.gramians, "PEAK_SEARCH_MAX_ROUNDS", max_rounds)
+        select = tanmor.selection.select_max_error
+
+        def capped_from_second_call(g, r, rtol=1e-6):
+            searches.append(r.n)
+            if len(searches) == 2:
+                monkeypatch.setattr(tanmor.gramians, "PEAK_SEARCH_MAX_ROUNDS", 1)
+            return select(g, r, rtol)
+
+        monkeypatch.setattr(helpers, "select_max_error", capped_from_second_call)
+        assert hex_rows(sequential_reduce(copied(sys), max_error_cfg(6))) == hex_rows(trace)
+
+    @pytest.mark.parametrize("failing_row", [1, 2], ids=["main-thread-solve", "worker-solve"])
+    def test_failed_eigensolve_keeps_rows_before_it(self, monkeypatch, failing_row):
+        # Iteration 2's Hamiltonian is first solved on this thread, while
+        # iteration 1 is certified; iteration 3's is solved by the worker.
+        sys = random_stable(40, 3, 3, seed=42)
+        cfg = max_error_cfg(12, rho=0.999, gamma_rel_tol=1e-300)
+        size = 2 * (sys.n + reduce(copied(sys), cfg).rows[failing_row - 1].order)
+        eigvals = np.linalg.eigvals
+
+        def failing(a):
+            if a.shape[0] == size:
+                raise np.linalg.LinAlgError("eigenvalues did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        trace = self.check_against_sequential(sys, cfg)
+        assert len(trace.rows) == failing_row
+        assert trace.stop_reason == "halted[LinAlgError]: eigenvalues did not converge"
+
+    @pytest.mark.parametrize("failing_row", [1, 2], ids=["provisional", "certified"])
+    def test_worker_joined_when_reduce_raises(self, monkeypatch, failing_row):
+        # Realizing row 1 is done first on its provisional frequency, where
+        # the failure is held back until the frequency is certified; row 2
+        # is realized after its certificate.  Either way reduce raises as
+        # the sequential loop does, with the worker joined.
+        sys = random_stable(40, 3, 3, seed=42)
+        cfg = max_error_cfg(12, rho=0.999)
+        order = reduce(copied(sys), cfg).rows[failing_row - 1].order
+        realize = tanmor.reduction.realize_r
+
+        def failing(data, *args):
+            if data.total_order == order:
+                raise RuntimeError("realization failed")
+            return realize(data, *args)
+
+        monkeypatch.setattr(tanmor.reduction, "realize_r", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="realization failed"):
+            reduce(sys, cfg)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [SelectionStrategy.discrete(K=50), SelectionStrategy.random(K=50, seed=5)],
+        ids=["discrete", "random"],
+    )
+    def test_other_rules_start_no_thread(self, monkeypatch, strategy):
+        started, start = [], threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        sys = random_stable(30, 2, 2, seed=46)
+        cfg = ReducerConfig(strategy, max_order=10)
+        assert hex_rows(reduce(copied(sys), cfg)) == hex_rows(sequential_reduce(copied(sys), cfg))
+        assert started == []
 
 
 class TestBalancedTruncation:
