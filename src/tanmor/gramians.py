@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
+from . import _lapack
 from .errors import IllConditionedLyapunov, NonzeroFeedthrough, PeakSearchNotConverged
 from .lti import (
     StateSpace,
@@ -81,6 +82,10 @@ _LOCAL_STAGE_MAX_STEPS = 100
 #: The blocked Sylvester solve hands a block to LAPACK's trsyl once neither
 #: of its edges exceeds this.
 _SYLVESTER_LEAF = 64
+
+#: Column width of the blocks in which a Sylvester defect and a Hermitian
+#: average are formed, so neither makes a temporary of the solution's size.
+_COLUMN_BLOCK = 128
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -201,9 +206,10 @@ def controllability_gramian(sys: StateSpace) -> GramianResult:
     output = "real" if sys.is_real else "complex"
     ctx = _PARENTS.get(sys)
     split = _schur_split(sys, output) if ctx is None else ctx.split(sys, output)
-    bbh = sys.B @ sys.B.conj().T
-    tol = LYAPUNOV_RESIDUAL_RTOL * max(np.linalg.norm(bbh, "fro"), np.finfo(float).tiny)
-    return GramianResult(*_split_gramian(split, bbh, tol))
+    # ||B B*||_F from the q x q Gram matrix, as error_norm takes it.
+    bbh_norm = np.linalg.norm(sys.B.conj().T @ sys.B, "fro")
+    tol = LYAPUNOV_RESIDUAL_RTOL * max(bbh_norm, np.finfo(float).tiny)
+    return GramianResult(*_split_gramian(split, sys.B, tol))
 
 
 class _SchurSplit(NamedTuple):
@@ -351,7 +357,8 @@ def _triangular_sylvester(T, S, rhs, tol: float) -> tuple[np.ndarray, float]:
     (GEMM updates between halves, LAPACK ``trsyl`` on blocks of edge at
     most ``_SYLVESTER_LEAF``, one flat ``trsyl`` call if a block had to be
     scaled).  Returns M and the Frobenius norm of its defect
-    T M + M S* - rhs.
+    T M + M S* - rhs, formed ``_COLUMN_BLOCK`` columns at a time, so the
+    check adds no array of the size of M.
 
     Raises
     ------
@@ -361,7 +368,14 @@ def _triangular_sylvester(T, S, rhs, tol: float) -> tuple[np.ndarray, float]:
     if rhs.size == 0:
         return rhs, 0.0
     M = _blocked_trsyl(T, S, rhs)
-    defect = float(np.linalg.norm(T @ M + M @ S.conj().T - rhs, "fro"))
+    squares = 0.0
+    for j in range(0, rhs.shape[1], _COLUMN_BLOCK):
+        cols = slice(j, j + _COLUMN_BLOCK)
+        d = T @ M[:, cols]
+        d += M @ S[cols].conj().T
+        d -= rhs[:, cols]
+        squares += float(np.vdot(d, d).real)
+    defect = math.sqrt(squares)
     if not defect <= tol:
         raise IllConditionedLyapunov(
             f"Sylvester residual {defect:.3e} of a Gramian block exceeds {tol:.3e}"
@@ -369,26 +383,60 @@ def _triangular_sylvester(T, S, rhs, tol: float) -> tuple[np.ndarray, float]:
     return M, defect
 
 
-def _split_gramian(split: _SchurSplit, bbh: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """Gramian V diag(P_s, P_a) V* of a split system, and the larger block defect.
+def _hermitian_part(theta: np.ndarray) -> np.ndarray:
+    """Overwrite the square ``theta`` with (theta + theta*) / 2 and return it.
 
-    ``bbh`` is B B* of that system.  In the decoupled coordinates it is
-    S^-1 F S^-* with F = Q* B B* Q and S^-1 = [[I, -Y], [0, I]]; only its
-    diagonal blocks enter the block solves.  The order of the products
-    makes a stable (k = n) or antistable (k = 0) system, where Y is empty,
-    reproduce a plain Bartels-Stewart solve bit for bit.
+    One block row and the block column below its diagonal block at a
+    time, both read before either is written, so no second array of the
+    size of theta exists.  Every entry is formed as in
+    ``0.5 * (theta + theta.conj().T)``, so the result is that one bit for bit.
+    """
+    for i in range(0, theta.shape[0], _COLUMN_BLOCK):
+        j = i + _COLUMN_BLOCK
+        upper = theta[i:j, i:] + theta[i:, i:j].conj().T
+        lower = theta[j:, i:j] + theta[i:j, j:].conj().T
+        upper *= 0.5
+        lower *= 0.5
+        theta[i:j, i:] = upper
+        theta[j:, i:j] = lower
+    return theta
+
+
+def _split_gramian(split: _SchurSplit, B: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Gramian V diag(P_s, P_a) V* of a split system with input matrix B, and the larger block defect.
+
+    In the decoupled coordinates B B* is S^-1 F S^-* with F = Q* B B* Q
+    and S^-1 = [[I, -Y], [0, I]]; only its diagonal blocks enter the block
+    solves.  A stable (k = n) or antistable (k = 0) system, where Y is
+    empty, is a plain Bartels-Stewart solve: the coupling products, which
+    would only add or subtract zeros, are skipped.  F takes the stable
+    block's right-hand side in place, each intermediate is dropped as
+    soon as the next one exists, and the Hermitian average is taken in
+    place (:func:`_hermitian_part`), so the Gramian of an n-state system
+    holds fewer than four n x n arrays at any time.  The result
+    is bit for bit the one of forming every product in full.
     """
     k, Q, Y = split.k, split.Q, split.Y
-    F = Q.conj().T @ (bbh @ Q)
-    top = F[:k] - Y @ F[k:]
-    P_s, defect_s = _triangular_sylvester(
-        split.T11, split.T11, -(top[:, :k] - top[:, k:] @ Y.conj().T), tol
-    )
+    F = Q.conj().T @ (B @ B.conj().T @ Q)
+    if Y.size:
+        F[:k] -= Y @ F[k:]
+        rhs_s = -(F[:k, :k] - F[:k, k:] @ Y.conj().T)
+    else:
+        rhs_s = np.negative(F[:k, :k], out=F[:k, :k])
+    P_s, defect_s = _triangular_sylvester(split.T11, split.T11, rhs_s, tol)
     P_a, defect_a = _triangular_sylvester(split.T22, split.T22, F[k:, k:], tol)
-    YP = Y @ P_a
-    P = np.block([[P_s + YP @ Y.conj().T, YP], [YP.conj().T, P_a]])
-    theta = (Q @ P) @ Q.conj().T
-    return 0.5 * (theta + theta.conj().T), max(defect_s, defect_a)
+    del F, rhs_s
+    if Y.size:
+        YP = Y @ P_a
+        P = np.block([[P_s + YP @ Y.conj().T, YP], [YP.conj().T, P_a]])
+        del YP
+    else:
+        P = P_s if k else P_a
+    del P_s, P_a
+    theta = Q @ P
+    del P
+    theta = theta @ Q.conj().T
+    return _hermitian_part(theta), max(defect_s, defect_a)
 
 
 class _ParentContext:
@@ -661,12 +709,15 @@ def _local_peak(omegas: list, i: int, sigma_slope) -> float | None:
 def _hamiltonian(sys: StateSpace, gamma: float) -> np.ndarray:
     """The 2n x 2n Hamiltonian whose imaginary eigenvalues are the level-gamma crossings.
 
-    Built block by block into one array, so no stacked copies of it exist.
+    Built block by block into one Fortran-ordered array, so no stacked
+    copies of it exist, and :func:`tanmor._lapack.eigvals_overwrite` solves
+    that array itself: each certificate holds one 2n x 2n array from its
+    construction to its eigenvalues.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n, p, q = sys.n, sys.p, sys.q
     Rinv = np.linalg.inv(gamma * gamma * np.eye(q) - D.conj().T @ D)
-    ham = np.empty((2 * n, 2 * n), dtype=np.result_type(A, B, C, D))
+    ham = np.empty((2 * n, 2 * n), dtype=np.result_type(A, B, C, D), order="F")
     Acl = A + B @ Rinv @ D.conj().T @ C
     ham[:n, :n] = Acl
     ham[n:, n:] = -Acl.conj().T
@@ -759,11 +810,15 @@ def _peak_search(sys: StateSpace, candidates, sigma_max, sigma_slope, rtol: floa
 
 
 def _solved(search):
-    """Run a peak search (see :func:`_peak_search`) to its result, solving each Hamiltonian here."""
+    """Run a peak search (see :func:`_peak_search`) to its result, solving each Hamiltonian here.
+
+    Each Hamiltonian is solved in place by :func:`tanmor._lapack.eigvals_overwrite`,
+    the one eigensolver of every certificate.
+    """
     try:
         ham, _ = next(search)
         while True:
-            ham, _ = search.send(np.linalg.eigvals(ham))
+            ham, _ = search.send(_lapack.eigvals_overwrite(ham))
     except StopIteration as done:
         return done.value
 
@@ -785,7 +840,9 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
     a dense solve against ``sys``; no response is cached between calls.
     The candidate poles come from :meth:`StateSpace.poles`, which keeps
     the Schur form of ``sys``.  Every Hamiltonian is solved on the calling
-    thread, one round after another.
+    thread, one round after another, in place by LAPACK's xGEEV
+    (:func:`tanmor._lapack.eigvals_overwrite`), so a round holds one
+    2n x 2n array and no copy of it.
     :func:`tanmor.select_max_error` runs the same search on an error
     system g - r, with the responses of g cached per parent, and
     :func:`tanmor.reduce` runs it with each certifying eigensolve on a
@@ -914,7 +971,7 @@ def error_norm(g: StateSpace, r: StateSpace) -> ErrorEstimate:
     bbh_norm = np.linalg.norm(g.B.conj().T @ g.B + r.B.conj().T @ r.B, "fro")
     tol = LYAPUNOV_RESIDUAL_RTOL * max(bbh_norm, np.finfo(float).tiny)
 
-    theta_r, _ = _split_gramian(rs, r.B @ r.B.conj().T, tol)
+    theta_r, _ = _split_gramian(rs, r.B, tol)
     # The stable parts solve T M + M S* + B1_g B1_r* = 0, the antistable
     # parts the sign-flipped equation; V_g and V_r take M back to the
     # states of g and r.

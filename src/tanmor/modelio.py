@@ -12,6 +12,8 @@ Two on-disk representations are supported:
 * Matrix Market (``"mm"``): one ``.mtx`` file per matrix next to a common
   prefix, ``<prefix>.A.mtx`` through ``<prefix>.D.mtx``, read and written
   by :mod:`scipy.io`.  ``D`` may be absent and defaults to zero.
+  :mod:`scipy.io` (which loads :mod:`scipy.sparse`) is imported on the
+  first Matrix Market read or write, so dense-text users never load it.
 
 Loading validates the model the same way the constructor does and
 additionally rejects systems with imaginary-axis poles, since nothing
@@ -24,7 +26,6 @@ import pathlib
 import re
 
 import numpy as np
-import scipy.io
 
 from .errors import (
     DimensionMismatch,
@@ -252,6 +253,8 @@ def _mm_read_file(path: pathlib.Path) -> np.ndarray:
         if rows == 0 or cols == 0:
             dtype = complex if banner[3] == b"complex" else float
             return np.zeros((rows, cols), dtype=dtype)
+    import scipy.io
+
     return _mm_to_dense(scipy.io.mmread(path))
 
 
@@ -263,6 +266,8 @@ def _mm_write_file(target: pathlib.Path, mat: np.ndarray) -> None:
             f"{mat.shape[0]} {mat.shape[1]}\n"
         )
         return
+    import scipy.io
+
     scipy.io.mmwrite(target, mat, precision=17)
 
 

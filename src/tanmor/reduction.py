@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _lapack
 from .errors import IndexOutOfRange, TanmorError, UnstableSystem
 from .gramians import _parent_context, controllability_gramian, error_norm
 from .interpolation import (
@@ -272,8 +273,14 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
     models and ``stop_reason`` are those of a sequential run, bit for bit;
     only a row's ``seconds`` differ: each row's time runs from the start
     of its proposal until its model and its certificate both exist, so
-    the rows of a max-error run overlap in time.  Discrete and random
-    selection yield no Hamiltonian and run on the calling thread alone.
+    the rows of a max-error run overlap in time.  Both solves, the
+    worker's and this thread's, go through the one kernel that solves
+    every Hamiltonian, :func:`tanmor._lapack.eigvals_overwrite`: LAPACK's
+    xGEEV on the Hamiltonian's own Fortran-ordered array, overwritten in
+    place, with the GIL released.  So each certificate in flight holds one
+    2(n + r)-square array, and the two solves run at the same time.
+    Discrete and random selection yield no Hamiltonian and run on the
+    calling thread alone.
 
     Raises
     ------
@@ -361,7 +368,7 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
         try:
             ask = _resume(proposal, None)
             if isinstance(ask, tuple):
-                ask = _resume(proposal, np.linalg.eigvals(ask[0]))
+                ask = _resume(proposal, _lapack.eigvals_overwrite(ask[0]))
         except Exception:
             return step, done, None
         return step, done, (done, proposal, ask)
@@ -392,7 +399,7 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
                     if worker is None:
                         worker = ThreadPoolExecutor(max_workers=1)
                     ham, omega = ask
-                    certificate = worker.submit(np.linalg.eigvals, ham)
+                    certificate = worker.submit(_lapack.eigvals_overwrite, ham)
                     certified = worker.submit(time.perf_counter)
                     del ask, ham
                     step, modelled, ahead = speculate(state, omega, it)

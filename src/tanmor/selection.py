@@ -210,8 +210,10 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
     the modal evaluator of a badly scaled r is off by enough to move the
     root of the slope.  The Hamiltonian test on the stacked error system
     ``series_sub(g, r)`` then certifies the result, usually in its first
-    round, as in :func:`tanmor.peak_gain`.  Each Hamiltonian is solved on
-    the calling thread; :func:`tanmor.reduce` runs the same search, but
+    round, as in :func:`tanmor.peak_gain`.  Each Hamiltonian is solved in
+    place on the calling thread by the one kernel that solves every
+    Hamiltonian (:func:`tanmor._lapack.eigvals_overwrite`);
+    :func:`tanmor.reduce` runs the same search, but
     solves the certifying Hamiltonian on a worker thread while it goes on
     with the provisional frequency, and keeps that work only once the
     certificate confirms it.

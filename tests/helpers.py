@@ -12,6 +12,7 @@ import math
 import numpy as np
 import scipy.integrate
 
+import tanmor._lapack
 import tanmor.gramians as gramians
 from tanmor import (
     DimensionMismatch,
@@ -131,20 +132,20 @@ def decoupled_resonances(*channels):
 
 
 def eigvals_sizes(monkeypatch):
-    """Record the order of the matrix of each ``np.linalg.eigvals`` call.
+    """Record the order of each matrix solved by ``tanmor._lapack.eigvals_overwrite``.
 
-    Returns the list that the orders are appended to.  The peak search on
-    an n-state system solves 2n x 2n Hamiltonians; in the tests that use
-    this, no other eigvals call is that large.
+    Returns the list that the orders are appended to.  That kernel is the
+    eigensolver of every Hamiltonian the peak search makes, and nothing
+    else calls it; the search on an n-state system solves 2n x 2n ones.
     """
     sizes = []
-    eigvals = np.linalg.eigvals
+    eigvals = tanmor._lapack.eigvals_overwrite
 
     def recording(a):
         sizes.append(a.shape[0])
         return eigvals(a)
 
-    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    monkeypatch.setattr(tanmor._lapack, "eigvals_overwrite", recording)
     return sizes
 
 

@@ -1,5 +1,10 @@
 """On-disk model formats: byte-exact round trips and parse diagnostics."""
 
+import os
+import pathlib
+import subprocess
+import sys as _sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -332,6 +337,23 @@ class TestMatrixMarket:
         (tmp_path / "bad.C.mtx").write_text("not a matrix market header\n")
         with pytest.raises(ParseError, match="Matrix Market"):
             load_model(tmp_path / "bad", format="mm")
+
+    def test_scipy_io_loaded_only_for_matrix_market(self):
+        # Importing the package and its CLI loads neither scipy.io nor the
+        # scipy.sparse that it drags in; a fresh interpreter shows it.
+        code = (
+            "import sys, tanmor, tanmor.cli; "
+            "print(sorted(m for m in ('scipy.io', 'scipy.sparse') if m in sys.modules))"
+        )
+        src = str(pathlib.Path(tanmor.lti.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [_sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_imaginary_axis_pole_rejected(self, tmp_path):
         scipy.io.mmwrite(tmp_path / "osc.A.mtx", np.array([[0.0, 1.0], [-1.0, 0.0]]))

@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 
 import helpers
+import tanmor._lapack
 import tanmor.gramians
 import tanmor.reduction
 import tanmor.selection
@@ -299,7 +300,7 @@ class TestReduce:
     def test_max_error_runs_one_hamiltonian_per_iteration(self, monkeypatch):
         # The local stage hands each Hamiltonian round a local maximum, so
         # the first round at (1 + rtol) times its gain certifies it: one
-        # 2(n + r) x 2(n + r) eigvals per iteration, r the order before it.
+        # 2(n + r) x 2(n + r) eigensolve per iteration, r the order before it.
         # The solves run on two threads, so they are compared in order of
         # size, which rises strictly with the iteration.
         sys = random_stable(40, 3, 3, seed=42)
@@ -691,12 +692,11 @@ class TestCertifiedPipeline:
         trace, entered = library_entry_points(lambda: reduce(parent, cfg))
         assert hex_rows(trace) == expected
         assert threading.active_count() == threads
-        # Only the Hamiltonian eigensolve (behind NumPy's dispatcher) runs
+        # Only the Hamiltonian eigensolve (the in-place LAPACK kernel) runs
         # off this thread, and it does run there.
-        linalg = os.path.dirname(np.linalg.__file__)
-        assert all(file.startswith(linalg) for _, file in entered)
-        assert {name for name, _ in entered} <= {"eigvals", "_unary_dispatcher"}
-        assert "eigvals" in {name for name, _ in entered}
+        assert all(file == tanmor._lapack.__file__ for _, file in entered)
+        assert {name for name, _ in entered} <= {"eigvals_overwrite"}
+        assert "eigvals_overwrite" in {name for name, _ in entered}
         del parent
         gc.collect()
         assert ref() is None
@@ -767,14 +767,14 @@ class TestCertifiedPipeline:
         sys = random_stable(40, 3, 3, seed=42)
         cfg = max_error_cfg(12, rho=0.999, gamma_rel_tol=1e-300)
         size = 2 * (sys.n + reduce(copied(sys), cfg).rows[failing_row - 1].order)
-        eigvals = np.linalg.eigvals
+        eigvals = tanmor._lapack.eigvals_overwrite
 
         def failing(a):
             if a.shape[0] == size:
                 raise np.linalg.LinAlgError("eigenvalues did not converge")
             return eigvals(a)
 
-        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        monkeypatch.setattr(tanmor._lapack, "eigvals_overwrite", failing)
         trace = self.check_against_sequential(sys, cfg)
         assert len(trace.rows) == failing_row
         assert trace.stop_reason == "halted[LinAlgError]: eigenvalues did not converge"
