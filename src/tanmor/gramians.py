@@ -453,10 +453,11 @@ class _ParentContext:
     read the same split, which keeps the parent's ordered Schur form in
     :mod:`tanmor.lti`.  The response evaluator (which :func:`tanmor.reduce`
     builds before its loop), the split in the parent's own field and
-    ``g.poles()`` all read that form: one form serves the responses, the
-    poles, the Gramian's imaginary-axis check and the Gramian.  It holds no
-    reference to the system itself, so the weak-keyed cache below lets a
-    parent (and all of this) go once callers drop it.
+    the poles that max-error selection reads all read that form: one form
+    serves the responses, the poles, the Gramian's imaginary-axis check and
+    the Gramian.  It holds no reference to the system itself, so the
+    weak-keyed cache below lets a parent (and all of this) go once callers
+    drop it.
     """
 
     def __init__(self):
@@ -838,11 +839,11 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
     one, the first round certifies it.  Stability of A is not required,
     only the absence of imaginary-axis poles.  Each response and slope is
     a dense solve against ``sys``; no response is cached between calls.
-    The candidate poles come from :meth:`StateSpace.poles`, which keeps
-    the Schur form of ``sys``.  Every Hamiltonian is solved on the calling
-    thread, one round after another, in place by LAPACK's xGEEV
-    (:func:`tanmor._lapack.eigvals_overwrite`), so a round holds one
-    2n x 2n array and no copy of it.
+    The candidate poles come from :meth:`StateSpace.poles`, which reuses
+    a kept Schur form of ``sys`` and keeps no new one.  Every Hamiltonian
+    is solved on the calling thread, one round after another, in place by
+    LAPACK's xGEEV (:func:`tanmor._lapack.eigvals_overwrite`), so a round
+    holds one 2n x 2n array and no copy of it.
     :func:`tanmor.select_max_error` runs the same search on an error
     system g - r, with the responses of g cached per parent, and
     :func:`tanmor.reduce` runs it with each certifying eigensolve on a

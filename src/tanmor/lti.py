@@ -6,10 +6,12 @@ is a dense solve against ``sI - A``; sweeps and row solves go through a
 per-system evaluator built once, from the eigendecomposition of A (K
 frequencies in one O(K n p q) product) or, when its eigenvectors are ill
 conditioned, from the complex Schur form (O(n^2) per frequency).  A system
-that keeps per-system state (its poles, the evaluator, the per-parent
-context of :mod:`tanmor.gramians`, a reduced model whose error is measured)
-also keeps one ordered Schur form of A, from which its poles, its
-eigendecomposition or complex Schur form and its Gramian are all taken.
+that keeps per-system state (the evaluator, the per-parent context of
+:mod:`tanmor.gramians`, a reduced model whose error is measured) also
+keeps one ordered Schur form of A, from which its poles, its
+eigendecomposition or complex Schur form and its Gramian are all taken:
+the eigenvectors by a triangular solve on the Schur factor and their
+inverse by a triangular inverse, with no second eigensolve.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import get_lapack_funcs
 
+from . import _lapack
 from .errors import DimensionMismatch, InvariantViolation, SingularResolvent
 
 __all__ = [
@@ -179,17 +182,20 @@ class StateSpace:
         """Eigenvalues of A (empty for constant systems), as a new array.
 
         They are read off the diagonal blocks of the ordered Schur form of A
-        (see :func:`_schur_poles`), which is kept on first use, so the
-        response evaluator and the Gramian of this system reuse it.
+        (see :func:`_schur_poles`).  A form kept earlier, for the response
+        evaluator or the Gramian of this system, is reused; a new one is not
+        kept, so a one-off query leaves nothing behind.
         """
         return _schur_poles(self)
 
     def assert_no_imaginary_poles(self) -> None:
         """Raise InvariantViolation if any pole sits on the imaginary axis.
 
-        The test is relative: |Re(lam)| <= 1e-10 * (1 + |lam|).
+        The test is relative: |Re(lam)| <= 1e-10 * (1 + |lam|).  The poles
+        are read off the ordered Schur form of A, which is kept, so the
+        response evaluator and the Gramian of this system reuse it.
         """
-        _assert_off_axis(self.poles())
+        _assert_off_axis(_keep_schur_form(self).poles())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -238,7 +244,8 @@ def is_strictly_stable(sys: StateSpace) -> bool:
     This is the margin used throughout the package: poles inside the
     relative band around the imaginary axis are treated as *not* stable,
     the same band in which :meth:`StateSpace.assert_no_imaginary_poles`
-    rejects a system.
+    rejects a system.  The poles are those of :meth:`StateSpace.poles`, so
+    no new Schur form is kept.
     """
     lam = sys.poles()
     if lam.size == 0:
@@ -331,10 +338,11 @@ def _schur_form(sys: StateSpace, keep: bool = False) -> tuple[np.ndarray, np.nda
     ``schur(A, output=sys.scalar_field, sort="lhp")``: the k poles in the
     open left half-plane lead T.  A cached form is reused; a new one is
     cached, read-only and without a reference to ``sys``, only when
-    ``keep`` is set.  Callers that keep per-system state set it (the poles,
-    the evaluator, the per-parent context, a reduced model in
-    :func:`tanmor.error_norm`), so a one-off Gramian of any other system
-    leaves nothing behind.
+    ``keep`` is set.  Callers that keep per-system state set it (the
+    evaluator, the per-parent context, a reduced model in
+    :func:`tanmor.error_norm`), and so do those whose system is about to
+    need it, through :func:`_keep_schur_form`, so a one-off Gramian or
+    pole query of any other system leaves nothing behind.
     """
     form = _SCHUR_FORMS.get(sys)
     if form is None:
@@ -345,32 +353,46 @@ def _schur_form(sys: StateSpace, keep: bool = False) -> tuple[np.ndarray, np.nda
     return form
 
 
-def _schur_poles(sys: StateSpace) -> np.ndarray:
-    """Eigenvalues of A read off its kept Schur form by :func:`_block_poles`.
+def _keep_schur_form(sys: StateSpace) -> StateSpace:
+    """``sys``, with its ordered Schur form kept (see :func:`_schur_form`).
 
-    The form is :func:`_schur_form` with ``keep`` set, so the evaluator and
-    the Gramian of ``sys`` reuse it.
+    For a caller about to ask its poles, stability or axis check of a
+    system whose response evaluator or Gramian reads the same form next:
+    the stability flag of :func:`tanmor.reduce`, the balancing routines,
+    max-error selection and :meth:`StateSpace.assert_no_imaginary_poles`.
+    """
+    if sys.n:
+        _schur_form(sys, keep=True)
+    return sys
+
+
+def _schur_poles(sys: StateSpace) -> np.ndarray:
+    """Eigenvalues of A read off its Schur form by :func:`_block_poles`.
+
+    The form is that of :func:`_schur_form`: a kept one is reused, a new
+    one is not kept.
     """
     if sys.n == 0:
         return np.zeros(0, dtype=complex)
-    return _block_poles(_schur_form(sys, keep=True)[0])
+    return _block_poles(_schur_form(sys)[0])
 
 
 def _block_poles(T: np.ndarray) -> np.ndarray:
     """Eigenvalues of an upper (quasi-)triangular Schur factor T, as a new array.
 
-    A complex T is triangular.  A real T has 1 x 1 blocks and 2 x 2 blocks
-    [[a, b], [c, d]] (marked by a nonzero subdiagonal entry) with the
-    eigenvalues (a + d)/2 +- sqrt(((a - d)/2)^2 + b c); LAPACK's
-    standardized blocks have a = d and b c < 0.  No eigensolver runs on T.
+    A complex T is triangular.  A real T, as LAPACK leaves it, has 1 x 1
+    blocks and standardized 2 x 2 blocks [[a, b], [c, a]] with b c < 0
+    (marked by a nonzero subdiagonal entry), whose eigenvalues are
+    a +- j sqrt(-b c): the first of each pair has the positive imaginary
+    part.  No eigensolver runs on T.
     """
-    lam = np.diag(T).astype(complex)
+    lam = T.diagonal().astype(complex)
     if not np.iscomplexobj(T):
-        i = np.flatnonzero(np.diag(T, -1))
-        a, b, c, d = T[i, i], T[i, i + 1], T[i + 1, i], T[i + 1, i + 1]
-        mid = 0.5 * (a + d)
-        root = np.sqrt((0.5 * (a - d)) ** 2 + b * c + 0j)
-        lam[i], lam[i + 1] = mid + root, mid - root
+        sub = T.diagonal(-1)
+        i = np.flatnonzero(sub)
+        if i.size:
+            im = np.sqrt(-T.diagonal(1)[i] * sub[i])
+            lam.imag[i], lam.imag[i + 1] = im, -im
     return lam
 
 
@@ -395,6 +417,56 @@ def _seed_adjoint_schur_form(sys: StateSpace, dual: StateSpace) -> None:
         _SCHUR_FORMS[dual] = _seal(T.conj().T[::-1, ::-1].copy(), Q[:, ::-1].copy(), k)
 
 
+def _eigendecomposition(T: np.ndarray, Q: np.ndarray):
+    """(lam, V, V^-1) of A = Q T Q* from its Schur form, or (lam, None, None).
+
+    lam is :func:`_block_poles` of T, and V = Q W with W the eigenvectors of
+    T from xTREVC (:func:`tanmor._lapack.schur_eigenvectors`).  W is upper
+    triangular, so V^-1 = W^-1 Q* with W^-1 from xTRTRI, and both products
+    are triangular ones (xTRMM).  For a real T, W holds each conjugate pair
+    at columns (k, k + 1) as the real and imaginary parts x_k, x_(k+1) of
+    one eigenvector; V and V^-1 are formed real, and the pair then becomes
+    the columns (x_k +- j x_(k+1)) / sqrt(2) of V and, by the inverse of
+    that unitary 2 x 2 mix, rows k and k + 1 of V^-1.  W is scaled first so
+    that each column of V has unit 2-norm, as xGEEV leaves it.  V is None
+    when xTRTRI finds W exactly singular (a defective T whose scaled
+    eigenvector underflows).
+    """
+    lam = _block_poles(T)
+    W = _lapack.schur_eigenvectors(T)
+    n = T.shape[0]
+    pair = np.flatnonzero(T.diagonal(-1)) if not np.iscomplexobj(T) else ()
+    # Unit columns of V = Q W; the two columns of a pair get |x_k|^2 +
+    # |x_(k+1)|^2 = 2, which the mix below turns into unit columns.
+    norms = np.einsum("ij,ij->j", W.conj(), W).real
+    if len(pair):
+        norms[pair] = norms[pair + 1] = 0.5 * (norms[pair] + norms[pair + 1])
+    W /= np.sqrt(norms)
+    trtri, trmm = get_lapack_funcs("trtri", (W,)), sla.get_blas_funcs("trmm", (W,))
+    Winv, info = trtri(W, overwrite_c=0)
+    if info != 0:
+        return lam, None, None
+    # [V, V^-*] = [Q W, Q W^-*], two xTRMM products side by side.
+    VV = np.empty((n, 2 * n), dtype=T.dtype, order="F")
+    VV[:, :n] = VV[:, n:] = Q
+    trmm(1.0, W, VV[:, :n], side=1, overwrite_b=1)
+    trmm(1.0, Winv, VV[:, n:], side=1, trans_a=2, overwrite_b=1)
+    del W, Winv
+    if len(pair):
+        # Rows k, k + 1 of V^-1 are (y_k -+ j y_(k+1)) / sqrt(2) for the rows
+        # y of W^-1 Q^T: the conjugates of columns mixed as those of V are.
+        VV = VV.astype(np.complex128)
+        # halves[:, m, 0] is column m of V and halves[:, m, 1] that of V^-*.
+        halves = VV.reshape((n, n, 2), order="F")
+        halves.imag[:, pair] = halves.real[:, pair + 1]
+        halves[:, pair] *= np.sqrt(0.5)
+        halves[:, pair + 1] = halves[:, pair].conj()
+    # V and V^-1 are views of the one buffer, which the evaluator keeps.
+    if np.iscomplexobj(VV):
+        np.conjugate(VV[:, n:], out=VV[:, n:])
+    return lam, VV[:, :n], VV[:, n:].T
+
+
 class _Evaluator:
     """Factors of one system for repeated resolvent evaluations.
 
@@ -405,28 +477,19 @@ class _Evaluator:
     product for K frequencies, or one O(n^2) triangular solve each.
 
     The eigendecomposition is taken from the system's ordered Schur form
-    A = Q_s T Q_s* (see :func:`_schur_form`): lam and W from ``eig(T)``,
-    then V = Q_s W, the back-transform LAPACK's xGEEV ends with itself.  The
-    Schur path takes that form too, through ``rsf2csf`` for a real system,
-    so A is Schur-factored once, for its poles, responses and Gramian.  The
-    attribute ``T`` then holds -T, whose diagonal each solve sets to s - lam.
+    A = Q_s T Q_s* (see :func:`_schur_form`) by :func:`_eigendecomposition`:
+    lam off the diagonal blocks of T, the eigenvectors W of T by xTREVC,
+    V = Q_s W and V^-1 = W^-1 Q_s* by xTRTRI, with no general eigensolver
+    and no dense inverse.  The Schur path takes that form too, through
+    ``rsf2csf`` for a real system, so A is Schur-factored once, for its
+    poles, responses and Gramian.  The attribute ``T`` then holds -T, whose
+    diagonal each solve sets to s - lam.
     """
 
     def __init__(self, sys: StateSpace):
         T, Q, _ = _schur_form(sys, keep=True)
-        lam, W = np.linalg.eig(T)
-        if np.iscomplexobj(W) and not np.iscomplexobj(Q):
-            # Real Q times complex W: one real product on W's interleaved parts.
-            V = (Q @ np.ascontiguousarray(W).view(Q.dtype)).view(W.dtype)
-        else:
-            V = Q @ W
-        del W
-        try:
-            Vinv = np.linalg.inv(V)
-            cond = np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1)
-        except np.linalg.LinAlgError:  # V exactly singular: A is defective
-            cond = np.inf
-        if cond <= MODAL_COND_MAX:
+        lam, V, Vinv = _eigendecomposition(T, Q)
+        if V is not None and np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1) <= MODAL_COND_MAX:
             self.T, self.Q, self.Qinv = None, V, Vinv
         else:
             if sys.is_real:
@@ -553,8 +616,10 @@ def freq_sweep(sys: StateSpace, omegas) -> list[FreqResponse]:
     frequencies in one product, or, when the eigenvector matrix has
     condition above ``MODAL_COND_MAX``, by its complex Schur form, one
     triangular solve per frequency.  Either comes from the system's cached
-    ordered Schur form, which its Gramian reads too.  A real system at
-    omega = 0 gets the dense real solve of :func:`eval_tf`.
+    ordered Schur form, which its Gramian reads too: the eigenvectors by a
+    triangular solve on its factor T and their inverse by a triangular
+    inverse.  A real system at omega = 0 gets the dense real solve of
+    :func:`eval_tf`.
 
     Parameters
     ----------
@@ -583,8 +648,9 @@ def resolvent_rows(sys: StateSpace, s: complex, rows: np.ndarray) -> np.ndarray:
     """Compute ``rows @ (s I - A)^{-1}`` through the cached factorization.
 
     That is ``rows V diag(1/(s - lam)) V^-1`` from the eigendecomposition
-    of A, or triangular solves on its complex Schur form, either taken from
-    its cached ordered Schur form as in :func:`freq_sweep`.  For a real
+    of A, with V and V^-1 from triangular solves on its cached ordered Schur
+    form, or triangular solves on its complex Schur form, converted from
+    that same form; see :func:`freq_sweep`.  For a real
     system at real ``s`` with real rows the computation is a dense solve in
     real arithmetic and the result is a real array.
 

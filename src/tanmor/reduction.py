@@ -35,7 +35,13 @@ from .interpolation import (
     realize_r,
     truncated_point,
 )
-from .lti import StateSpace, _evaluator, _seed_adjoint_schur_form, is_strictly_stable
+from .lti import (
+    StateSpace,
+    _evaluator,
+    _keep_schur_form,
+    _seed_adjoint_schur_form,
+    is_strictly_stable,
+)
 from .selection import (
     SelectionStrategy,
     SplitMix64,
@@ -333,7 +339,8 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
         except (TanmorError, np.linalg.LinAlgError) as exc:
             return _halted(exc)
         model = realize_r(data, sol.w, sys.D)
-        stable = is_strictly_stable(model)
+        # Kept: the error norm and the next selection read this form.
+        stable = is_strictly_stable(_keep_schur_form(model))
         err_val, last_err = math.nan, state.last_err
         if track:
             try:
@@ -457,7 +464,8 @@ def hankel_values(sys: StateSpace) -> np.ndarray:
     UnstableSystem
         If any pole is outside the open left half-plane.
     """
-    if not is_strictly_stable(sys):
+    # Kept: the balancing Gramians below read the same form.
+    if not is_strictly_stable(_keep_schur_form(sys)):
         raise UnstableSystem("Hankel values are defined for stable systems only")
     if sys.n == 0:
         return np.zeros(0)
@@ -479,7 +487,8 @@ def balanced_truncation(sys: StateSpace, order: int) -> StateSpace:
     IndexOutOfRange
         If ``order`` is negative or exceeds the state dimension.
     """
-    if not is_strictly_stable(sys):
+    # Kept: the balancing Gramians below read the same form.
+    if not is_strictly_stable(_keep_schur_form(sys)):
         raise UnstableSystem("balanced truncation requires a strictly stable system")
     order = int(order)
     if not 0 <= order <= sys.n:
@@ -573,7 +582,7 @@ def sweep_orders(
 
     balancing = None
     if baseline == "balanced":
-        if not is_strictly_stable(sys):
+        if not is_strictly_stable(_keep_schur_form(sys)):
             raise UnstableSystem("balanced truncation requires a strictly stable system")
         if sys.n and max(orders):
             balancing = _balancing_svd(sys)

@@ -38,6 +38,7 @@ from .lti import (
     FreqResponse,
     StateSpace,
     _dense_response_slope,
+    _keep_schur_form,
     _response_slopes,
     _responses,
     series_sub,
@@ -198,7 +199,8 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
 
     Runs the search of :func:`tanmor.peak_gain` on the error G - R, with
     every candidate evaluated as sigma_max(G(jw) - R(jw)).  The poles of g
-    and r are read off their kept Schur forms (:meth:`StateSpace.poles`),
+    and r are read off their Schur forms, which are kept for the response
+    evaluators of g and r that read them next (:meth:`StateSpace.poles`),
     and a memo w -> G(jw) is kept in the per-parent context of
     :mod:`tanmor.gramians`, which does not keep g alive, so each call
     evaluates R at every candidate but G only at frequencies not seen
@@ -240,7 +242,8 @@ def _max_error_search(g: StateSpace, r: StateSpace, rtol: float = 1e-6):
     ``ham``.
     """
     err = series_sub(g, r)
-    poles = np.concatenate([g.poles(), r.poles()])
+    # Kept: the evaluators of g and r read these forms next.
+    poles = np.concatenate([_keep_schur_form(g).poles(), _keep_schur_form(r).poles()])
 
     def sigma_max(omegas):
         return _pointwise_error(_parent_at(g, omegas), r, omegas)

@@ -1,4 +1,5 @@
-"""The in-place LAPACK eigenvalue kernel that solves every Hamiltonian."""
+"""The LAPACK kernels: in-place eigenvalues of every Hamiltonian, and
+eigenvectors of a Schur factor for the response evaluator."""
 
 import sys
 import threading
@@ -7,9 +8,11 @@ import time
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 import tanmor._lapack as lapack
 from tanmor.gramians import _hamiltonian, peak_gain
+from tanmor.lti import _block_poles
 
 from helpers import random_stable
 
@@ -72,6 +75,13 @@ def test_signature_checked(monkeypatch):
         lapack._routine("dgeev", 14)
 
 
+@pytest.mark.parametrize("name, nargs", [("dtrevc", 14), ("ztrevc", 15)])
+def test_eigenvector_signature_checked(monkeypatch, name, nargs):
+    monkeypatch.setitem(lapack._SIGNATURES, name, "void (int *)")
+    with pytest.raises(ImportError, match=f"{name} has signature"):
+        lapack._routine(name, nargs)
+
+
 def test_python_thread_runs_during_the_solve():
     # With a switch interval far above the solve's time, a thread waiting
     # for the GIL gets it only when the holder lets go.  A counter thread
@@ -103,3 +113,55 @@ def test_python_thread_runs_during_the_solve():
         spinner.join()
         sys.setswitchinterval(interval)
     assert during > 50_000
+
+
+def schur_factor(field):
+    """A 12 x 12 Schur factor: real with 2 x 2 blocks and real eigenvalues, or complex."""
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((12, 12))
+    if field == "complex":
+        A = A + 1j * rng.standard_normal((12, 12))
+    T = scipy.linalg.schur(A, output=field)[0]
+    T.setflags(write=False)
+    return T
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_schur_eigenvectors_match_eig(field):
+    T = schur_factor(field)
+    copy = T.copy()
+    W = lapack.schur_eigenvectors(T)
+    assert np.array_equal(T, copy)  # read-only input, left as it was
+    assert W.dtype == T.dtype and W.flags.f_contiguous
+    assert np.array_equal(np.triu(W), W)
+    lam, X = _block_poles(T), W.astype(complex)
+    if field == "real":
+        pair = np.flatnonzero(np.diag(T, -1))
+        assert 0 < 2 * pair.size < T.shape[0]  # 2 x 2 blocks and real eigenvalues
+        X[:, pair] += 1j * W[:, pair + 1]
+        X[:, pair + 1] = X[:, pair].conj()
+    X /= np.linalg.norm(X, axis=0)
+    assert np.linalg.norm(T @ X - X * lam) <= 1e-14 * np.linalg.norm(T)
+    # eig's eigenvectors, up to the scaling of each column.
+    lam_eig, X_eig = np.linalg.eig(T)
+    match = [int(np.argmin(np.abs(lam_eig - x))) for x in lam]
+    assert sorted(match) == list(range(T.shape[0]))
+    npt.assert_allclose(np.abs(np.sum(X.conj() * X_eig[:, match], axis=0)), 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        np.eye(4),  # C-ordered
+        np.asfortranarray(np.eye(4, dtype=np.float32)),
+        np.asfortranarray(np.ones((3, 4))),
+    ],
+    ids=["c-order", "float32", "not-square"],
+)
+def test_schur_eigenvectors_refuses_what_it_cannot_solve(t):
+    with pytest.raises(ValueError):
+        lapack.schur_eigenvectors(t)
+
+
+def test_schur_eigenvectors_order_zero():
+    assert lapack.schur_eigenvectors(np.zeros((0, 0), order="F")).shape == (0, 0)

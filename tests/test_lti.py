@@ -1,6 +1,7 @@
 """State-space container, responses, and resolvent plumbing."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -238,7 +239,7 @@ class TestEvaluator:
 
     @pytest.mark.parametrize("make", FIXTURES, ids=FIXTURE_IDS)
     def test_eigenpairs_from_schur_form_match_eig(self, make):
-        # lam and V = Q W, W from eig(T) of the cached Schur form, against
+        # lam and V = Q W, W from xTREVC on the cached Schur form, against
         # eig(A): the same eigenvalues, the same unit eigenvectors up to
         # phase, and a residual at rounding level.
         for seed in range(5):
@@ -269,17 +270,102 @@ class TestEvaluator:
         cond = np.linalg.norm(V, 1) * np.linalg.norm(np.linalg.inv(V), 1)
         assert (tanmor.lti._evaluator(sys).T is None) == (cond <= tanmor.lti.MODAL_COND_MAX)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_stable(30, 3, 2, seed=11, feedthrough=True),
+            lambda: random_stable(30, 3, 2, seed=11, field="complex", feedthrough=True),
+            lambda: random_mixed(20, 10, 2, 3, seed=11),
+            flex_structure_model,
+            lambda: rotated(jordan_block(6, -0.7 + 0.4j)),
+            lambda: rotated(real_jordan_block(3, -0.7, 0.4)),
+        ],
+        ids=["real", "complex", "mixed-real", "flex-270", "defective", "defective-real"],
+    )
+    def test_triangular_eigendecomposition(self, make):
+        # V = Q W and V^-1 = W^-1 Q* from xTREVC and xTRTRI on the kept
+        # Schur form: unit columns, V^-1 V = I to within cond(V) rounding
+        # (at most 5e-16 cond(V) on these parents, defective ones included),
+        # and responses that match dense solves on whichever path the
+        # evaluator takes.
+        sys = make()
+        T, Q, _ = tanmor.lti._schur_form(sys, keep=True)
+        lam, V, Vinv = tanmor.lti._eigendecomposition(T, Q)
+        cond = np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1)
+        npt.assert_allclose(np.linalg.norm(V, axis=0), 1.0, rtol=1e-14)
+        assert np.linalg.norm(Vinv @ V - np.eye(sys.n), 1) <= 1e-14 * cond
+        modal = cond <= tanmor.lti.MODAL_COND_MAX
+        assert (tanmor.lti._evaluator(sys).T is None) == modal
+        rtol = self.MODAL_RTOL * cond if modal else 1e-10
+        for resp in freq_sweep(sys, np.geomspace(1e-2, 1e2, 20)):
+            want = eval_tf(sys, 1j * resp.omega)
+            assert np.linalg.norm(resp.value - want) <= rtol * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("side", [0.999, 1.001])
+    def test_path_choice_either_side_of_modal_cond_max(self, field, side):
+        # Two eigenvalues 1 + eps apart on a triangular block, with
+        # eigenvectors closing in on each other as eps -> 0, next to a
+        # conjugate pair (real) or a well-separated eigenvalue (complex).
+        # eps is bisected until cond(V) of eig(A), the route the evaluator
+        # took before its triangular solve, is 0.1% below or above
+        # MODAL_COND_MAX; the evaluator must choose as that cond(V) does.
+        def system(eps):
+            A = scipy.linalg.block_diag(
+                [[-1.0, 1.0], [0.0, -1.0 - eps]], [[-0.5, 2.0], [-2.0, -0.5]]
+            )
+            if field == "complex":
+                A = A + np.diag([0.3j, 0.3j, 0.0, 0.0])
+            return rotated(StateSpace(A, np.ones((4, 2)), np.ones((2, 4)), scalar_field=field))
+
+        def eig_cond(sys):
+            V = np.linalg.eig(sys.A)[1]
+            return np.linalg.norm(V, 1) * np.linalg.norm(np.linalg.inv(V), 1)
+
+        target = side * tanmor.lti.MODAL_COND_MAX
+        lo, hi = -12.0, 0.0  # log10 eps; cond(V) falls as eps grows
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if eig_cond(system(10.0**mid)) > target else (lo, mid)
+        sys = system(10.0**hi)
+        cond = eig_cond(sys)
+        assert (cond <= tanmor.lti.MODAL_COND_MAX) == (side < 1.0)
+        assert abs(cond / target - 1.0) < 5e-4
+        lam, V, Vinv = tanmor.lti._eigendecomposition(*tanmor.lti._schur_form(sys)[:2])
+        assert abs(np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1) / cond - 1.0) < 1e-6
+        assert (tanmor.lti._evaluator(sys).T is None) == (side < 1.0)
+
+    def test_build_runs_no_general_eigensolve(self, monkeypatch):
+        # Every path takes its eigenvalues off the Schur factor and its
+        # eigenvectors from the triangular solve.
+        def refuse(*args, **kwargs):
+            raise AssertionError("general eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(scipy.linalg, "eig", refuse)
+        for sys in [
+            random_stable(12, 2, 3, seed=4),
+            random_stable(12, 2, 3, seed=4, field="complex"),
+            rotated(jordan_block(5, -0.7 + 0.4j)),
+            rotated(real_jordan_block(3, -0.7, 0.4)),
+        ]:
+            freq_sweep(sys, [0.5])
+            assert sys in tanmor.lti._EVALUATORS
+
     def test_poles_are_the_eigenvalues(self):
-        # poles() reads the diagonal blocks of the kept ordered Schur form,
-        # 2 x 2 blocks included for a real system, and hands out a new
-        # array each call.
+        # poles() reads the diagonal blocks of the ordered Schur form, 2 x 2
+        # blocks included for a real system, keeps no new form but reuses a
+        # kept one, and hands out a new array each call.
         for field in ("real", "complex"):
             sys = random_mixed(8, 4, 2, 3, seed=3, field=field)
             poles = sys.poles()
             npt.assert_allclose(
                 np.sort_complex(poles), np.sort_complex(np.linalg.eigvals(sys.A)), rtol=1e-12
             )
+            assert sys not in tanmor.lti._SCHUR_FORMS
+            sys.assert_no_imaginary_poles()
             assert sys in tanmor.lti._SCHUR_FORMS
+            assert np.array_equal(sys.poles(), poles)
             poles[0] = 0.0
             assert sys.poles()[0] != 0.0
 
@@ -439,6 +525,23 @@ class TestSchurFormCache:
         controllability_gramian(sys)
         assert tanmor.lti._evaluator(sys).T is not None
         assert seen == [sys.n]
+
+    def test_one_off_pole_query_leaves_nothing_behind(self):
+        # A stability check of a system that is then dropped computes its
+        # Schur form and keeps none of it: at n = 270 the form is 1.12 MB.
+        # A caller inside the package that goes on to use the form keeps it.
+        g = flex_structure_model()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert is_strictly_stable(g)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert g not in tanmor.lti._SCHUR_FORMS
+        assert left < 50_000, f"{left} bytes left behind"
+        assert is_strictly_stable(tanmor.lti._keep_schur_form(g))
+        assert g in tanmor.lti._SCHUR_FORMS
 
     def test_one_off_gramian_leaves_nothing_behind(self):
         sys = random_stable(10, 2, 2, seed=3)

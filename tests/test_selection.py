@@ -9,6 +9,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,6 +155,23 @@ class TestSelectMaxError:
         )[0]
         assert peak_found >= peak_grid * 0.999
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_one_schur_form_per_system(self, field, monkeypatch):
+        # The poles of g and r and their response evaluators read one Schur
+        # form each: a standalone call on systems with none kept yet
+        # factors each A once.
+        g = random_stable(8, 2, 2, seed=2, field=field)
+        r = random_stable(3, 2, 2, seed=3, field=field)
+        seen = []
+        schur = scipy.linalg.schur
+
+        def counting(a, *args, **kwargs):
+            seen.append("g" if a is g.A else "r" if a is r.A else a.shape)
+            return schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting)
+        select_max_error(g, r)
+        assert sorted(seen) == ["g", "r"]
 
     @settings(max_examples=25, deadline=None)
     @given(
