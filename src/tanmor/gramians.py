@@ -43,9 +43,10 @@ from .lti import (
     _block_diag,
     _block_poles,
     _check_io,
-    _dense_response_slope,
+    _keep_schur_form,
+    _response_slopes,
+    _responses,
     _schur_form,
-    eval_tf,
 )
 
 __all__ = [
@@ -837,17 +838,18 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
     imaginary-eigenvalue frequencies, which converges quadratically
     (Bruinsma and Steinbuch, 1990); when the local maximum is the global
     one, the first round certifies it.  Stability of A is not required,
-    only the absence of imaginary-axis poles.  Each response and slope is
-    a dense solve against ``sys``; no response is cached between calls.
-    The candidate poles come from :meth:`StateSpace.poles`, which reuses
-    a kept Schur form of ``sys`` and keeps no new one.  Every Hamiltonian
-    is solved on the calling thread, one round after another, in place by
-    LAPACK's xGEEV (:func:`tanmor._lapack.eigvals_overwrite`), so a round
-    holds one 2n x 2n array and no copy of it.
-    :func:`tanmor.select_max_error` runs the same search on an error
-    system g - r, with the responses of g cached per parent, and
-    :func:`tanmor.reduce` runs it with each certifying eigensolve on a
-    worker thread.
+    only the absence of imaginary-axis poles.  The poles, responses and
+    slopes come from one Schur form of ``sys`` and the evaluator built on
+    it, both kept as by :func:`tanmor.freq_sweep`, with no dense LU: a
+    first call costs one Schur decomposition and one evaluator build,
+    O(n^3), then O(n p q) per response on the modal path or O(n^2) on the
+    Schur path, in blocks of at most 2^20 complex entries; a second call
+    factors nothing.  Each Hamiltonian is solved in place on the calling
+    thread by LAPACK's xGEEV (:func:`tanmor._lapack.eigvals_overwrite`),
+    one 2n x 2n array per round.
+    :func:`tanmor.select_max_error` runs the same search on g - r, with the
+    responses of g cached per parent, and :func:`tanmor.reduce` solves each
+    certifying Hamiltonian on a worker thread.
 
     Parameters
     ----------
@@ -870,12 +872,16 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
         If no round certifies the gain within ``PEAK_SEARCH_MAX_ROUNDS``
         Hamiltonian rounds.
     """
+    def sigma_slope(w):
+        (value,), (slope,) = _response_slopes(sys, [w])
+        return _sigma_max_slope(value, slope)
+
     return _solved(
         _peak_search(
             sys,
-            _pole_candidates(sys.poles(), sys.is_real),
-            lambda omegas: _sigma_max_batch([eval_tf(sys, 1j * w) for w in omegas]),
-            lambda w: _sigma_max_slope(*_dense_response_slope(sys, w)),
+            _pole_candidates(_keep_schur_form(sys).poles(), sys.is_real),
+            lambda omegas: _sigma_max_batch(_responses(sys, omegas)),
+            sigma_slope,
             rtol,
         )
     )

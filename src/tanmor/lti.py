@@ -1,17 +1,17 @@
 """Dense state-space LTI systems and frequency-response evaluation.
 
 The central type is :class:`StateSpace`, an immutable (A, B, C, D)
-realization with an explicit real/complex scalar-field tag.  :func:`eval_tf`
-is a dense solve against ``sI - A``; sweeps and row solves go through a
-per-system evaluator built once, from the eigendecomposition of A (K
-frequencies in one O(K n p q) product) or, when its eigenvectors are ill
-conditioned, from the complex Schur form (O(n^2) per frequency).  A system
-that keeps per-system state (the evaluator, the per-parent context of
-:mod:`tanmor.gramians`, a reduced model whose error is measured) also
-keeps one ordered Schur form of A, from which its poles, its
-eigendecomposition or complex Schur form and its Gramian are all taken:
-the eigenvectors by a triangular solve on the Schur factor and their
-inverse by a triangular inverse, with no second eigensolve.
+realization with an explicit real/complex scalar-field tag.  Sweeps, row
+solves and peak searches go through a per-system evaluator built once, from
+the eigendecomposition of A (K frequencies in one O(K n p q) product) or,
+when its eigenvectors are ill conditioned, from the complex Schur form
+(O(n^2) per frequency).  Both come from one ordered Schur form of A, kept by
+each system that keeps per-system state (the evaluator, the per-parent
+context of :mod:`tanmor.gramians`, a reduced model whose error is measured)
+and read for its poles and Gramian too: the eigenvectors by a triangular
+solve on the Schur factor, their inverse by a triangular inverse.  A dense
+LU of ``sI - A`` is left in the public single-point :func:`eval_tf`, which
+the package does not call, and in :func:`_dense_response_slope`.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ RESOLVENT_RCOND_MIN = 1e-14
 #: when cond(V) = ||V||_1 ||V^-1||_1 is at most this, since its rounding error
 #: grows with cond(V), and from the complex Schur form of A otherwise.
 MODAL_COND_MAX = 1e6
+
+# Complex entries of the largest temporary one batch of responses may build.
+_RESPONSE_BLOCK = 1 << 20
 
 
 def _as_matrix(name: str, value, dtype) -> np.ndarray:
@@ -258,20 +261,6 @@ def is_strictly_stable(sys: StateSpace) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _dense_resolvent_solve(A: np.ndarray, s: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve (sI - A) X = rhs by LU with a condition estimate.
-
-    Stays in real arithmetic when everything involved is real, so e.g.
-    a real system evaluated at s = 0 produces a bitwise-real result.
-    """
-    real_path = (
-        not np.iscomplexobj(A)
-        and not np.iscomplexobj(rhs)
-        and complex(s).imag == 0.0
-    )
-    return sla.lu_solve(_resolvent_lu(A, s, real_path), rhs)
-
-
 def _resolvent_lu(A: np.ndarray, s: complex, real_path: bool):
     """LU factors of sI - A, in real arithmetic when ``real_path`` is set.
 
@@ -306,19 +295,20 @@ def eval_tf(sys: StateSpace, s: complex) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        The p x q response.  Real systems evaluated at real ``s`` return a
-        real array; every other case returns a complex array.
+        The p x q response, from one dense LU of ``sI - A`` (nothing is
+        cached; sweeps use :func:`freq_sweep`, and no routine of the
+        package calls this one).  Real systems evaluated at real ``s``
+        return a real array; every other case returns a complex array.
 
     Raises
     ------
     SingularResolvent
         If the estimated reciprocal condition of ``sI - A`` is below 1e-14.
     """
+    real_path = sys.is_real and complex(s).imag == 0.0
     if sys.n == 0:
-        if sys.is_real and complex(s).imag == 0.0:
-            return sys.D.copy()
-        return sys.D.astype(np.complex128)
-    X = _dense_resolvent_solve(sys.A, s, sys.B)
+        return sys.D.copy() if real_path else sys.D.astype(np.complex128)
+    X = sla.lu_solve(_resolvent_lu(sys.A, s, real_path), sys.B)
     return sys.C @ X + sys.D
 
 
@@ -359,7 +349,8 @@ def _keep_schur_form(sys: StateSpace) -> StateSpace:
     For a caller about to ask its poles, stability or axis check of a
     system whose response evaluator or Gramian reads the same form next:
     the stability flag of :func:`tanmor.reduce`, the balancing routines,
-    max-error selection and :meth:`StateSpace.assert_no_imaginary_poles`.
+    the peak searches (:func:`tanmor.peak_gain`, max-error selection) and
+    :meth:`StateSpace.assert_no_imaginary_poles`.
     """
     if sys.n:
         _schur_form(sys, keep=True)
@@ -570,19 +561,20 @@ def _evaluator(sys: StateSpace) -> _Evaluator:
 def _responses(sys: StateSpace, omegas) -> np.ndarray:
     """G(j*w) for each w as a complex (K, p, q) stack, from the cached evaluator.
 
-    A real system at w = 0 takes the dense real solve of :func:`eval_tf`,
-    so that entry is exactly real.
+    Every w, 0 included, takes the evaluator; callers that want a real
+    system's G(0) exactly real take its real part.  The frequencies go
+    through in blocks whose (K, p, n) or (K, n, q) temporary holds at most
+    ``_RESPONSE_BLOCK`` complex entries (16 MiB): a peak search over its
+    2n + 1 pole candidates holds no O(n^2 max(p, q)) array.
     """
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
     out = np.empty((omegas.size, sys.p, sys.q), dtype=np.complex128)
     if sys.n == 0:
         out[:] = sys.D
         return out
-    zero = (omegas == 0.0) & sys.is_real
-    if zero.any():
-        out[zero] = eval_tf(sys, 0.0)
-    if not zero.all():
-        out[~zero] = _evaluator(sys).responses(1j * omegas[~zero])
+    step = max(1, _RESPONSE_BLOCK // (sys.n * max(sys.p, sys.q)))
+    for k in range(0, omegas.size, step):
+        out[k : k + step] = _evaluator(sys).responses(1j * omegas[k : k + step])
     return out
 
 
@@ -599,7 +591,12 @@ def _response_slopes(sys: StateSpace, omegas) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_response_slope(sys: StateSpace, w: float) -> tuple[np.ndarray, np.ndarray]:
-    """G(j*w) and dG(j*w)/dw from one dense LU of j*w*I - A."""
+    """G(j*w) and dG(j*w)/dw from one dense LU of j*w*I - A.
+
+    Only the max-error local stage calls it, for the slope of the reduced
+    model R: taken from R's evaluator instead, that slope moves the stacked-
+    search check of ``reduce`` to a gamma gap of 1.4e-12, past its 1e-12 band.
+    """
     if sys.n == 0:
         return sys.D.astype(np.complex128), np.zeros((sys.p, sys.q), dtype=np.complex128)
     lu = _resolvent_lu(sys.A, 1j * w, False)
@@ -616,10 +613,9 @@ def freq_sweep(sys: StateSpace, omegas) -> list[FreqResponse]:
     frequencies in one product, or, when the eigenvector matrix has
     condition above ``MODAL_COND_MAX``, by its complex Schur form, one
     triangular solve per frequency.  Either comes from the system's cached
-    ordered Schur form, which its Gramian reads too: the eigenvectors by a
-    triangular solve on its factor T and their inverse by a triangular
-    inverse.  A real system at omega = 0 gets the dense real solve of
-    :func:`eval_tf`.
+    ordered Schur form, which its Gramian reads too (see :class:`_Evaluator`),
+    and :func:`tanmor.peak_gain` reads the same evaluator.  A real system at
+    omega = 0 gets the real part of that response, a real array.
 
     Parameters
     ----------
@@ -650,9 +646,9 @@ def resolvent_rows(sys: StateSpace, s: complex, rows: np.ndarray) -> np.ndarray:
     That is ``rows V diag(1/(s - lam)) V^-1`` from the eigendecomposition
     of A, with V and V^-1 from triangular solves on its cached ordered Schur
     form, or triangular solves on its complex Schur form, converted from
-    that same form; see :func:`freq_sweep`.  For a real
-    system at real ``s`` with real rows the computation is a dense solve in
-    real arithmetic and the result is a real array.
+    that same form; see :func:`freq_sweep`.  There is no dense path: for a
+    real system at real ``s`` with real rows the result is the real part
+    of that solve, a real array.
 
     Raises
     ------
@@ -666,10 +662,9 @@ def resolvent_rows(sys: StateSpace, s: complex, rows: np.ndarray) -> np.ndarray:
         )
     if sys.n == 0:
         return rows[:, :0]
-    if sys.is_real and not np.iscomplexobj(rows) and complex(s).imag == 0.0:
-        sol = _dense_resolvent_solve(sys.A.T, complex(s).real, rows.T)
-        return sol.T
-    return _evaluator(sys).rows(complex(s), rows)
+    out = _evaluator(sys).rows(complex(s), rows)
+    real = sys.is_real and not np.iscomplexobj(rows) and complex(s).imag == 0.0
+    return np.ascontiguousarray(out.real) if real else out
 
 
 def series_sub(lhs: StateSpace, rhs: StateSpace) -> StateSpace:

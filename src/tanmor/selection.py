@@ -198,27 +198,26 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
     """Frequency where the spectral norm of the error G - R peaks.
 
     Runs the search of :func:`tanmor.peak_gain` on the error G - R, with
-    every candidate evaluated as sigma_max(G(jw) - R(jw)).  The poles of g
-    and r are read off their Schur forms, which are kept for the response
-    evaluators of g and r that read them next (:meth:`StateSpace.poles`),
-    and a memo w -> G(jw) is kept in the per-parent context of
-    :mod:`tanmor.gramians`, which does not keep g alive, so each call
-    evaluates R at every candidate but G only at frequencies not seen
-    before: the candidates from the poles of r, the local maximum and the
-    Hamiltonian midpoints, all candidates of a round in one stacked product
-    of the cached evaluators of :mod:`tanmor.lti`.  The local stage's
-    slopes Re(u1* (G'(jw) - R'(jw)) v1) are not memoized; they take G and
-    G' from the parent's evaluator and R and R' from a dense solve, since
-    the modal evaluator of a badly scaled r is off by enough to move the
-    root of the slope.  The Hamiltonian test on the stacked error system
-    ``series_sub(g, r)`` then certifies the result, usually in its first
-    round, as in :func:`tanmor.peak_gain`.  Each Hamiltonian is solved in
-    place on the calling thread by the one kernel that solves every
-    Hamiltonian (:func:`tanmor._lapack.eigvals_overwrite`);
-    :func:`tanmor.reduce` runs the same search, but
-    solves the certifying Hamiltonian on a worker thread while it goes on
-    with the provisional frequency, and keeps that work only once the
-    certificate confirms it.
+    every candidate evaluated as sigma_max(G(jw) - R(jw)).  As there, the
+    poles of g and r are read off their kept Schur forms and every response
+    comes from the cached evaluators of :mod:`tanmor.lti` built on them,
+    all candidates of a round in one stacked product.  A memo w -> G(jw)
+    in the per-parent context of :mod:`tanmor.gramians`, which does not
+    keep g alive, means each call evaluates R at every candidate but G only
+    at frequencies not seen before: the candidates from the poles of r, the
+    local maximum and the Hamiltonian midpoints.  The local stage's slopes
+    Re(u1* (G'(jw) - R'(jw)) v1) are not memoized; they take G and G' from
+    the parent's evaluator and R and R' from a dense solve
+    (:func:`tanmor.lti._dense_response_slope`), the one response path that
+    differs from :func:`tanmor.peak_gain`'s, since the evaluator of a badly
+    scaled r is off by enough to move the root of the slope.  The
+    Hamiltonian test on the stacked error system ``series_sub(g, r)`` then
+    certifies the result, usually in its first round, each Hamiltonian
+    solved in place on the calling thread
+    (:func:`tanmor._lapack.eigvals_overwrite`); :func:`tanmor.reduce` runs
+    the same search, but solves the certifying Hamiltonian on a worker
+    thread while it goes on with the provisional frequency, and keeps that
+    work only once the certificate confirms it.
 
     A plateau-at-infinity result is mapped to 10 times the largest pole
     magnitude of the error system (there is no finite argmax to return);
@@ -388,7 +387,7 @@ def refine(
 
     value = _parent_at(g, [target])[0]
     if g.is_real and target == 0.0:
-        # Exactly real (a dense real solve), as eval_tf returns it.
+        # Real, as eval_tf returns it; the imaginary part is rounding.
         value = value.real
     sv = np.linalg.svd(value, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:

@@ -14,6 +14,7 @@ import scipy.integrate
 
 import tanmor._lapack
 import tanmor.gramians as gramians
+import tanmor.lti
 from tanmor import (
     DimensionMismatch,
     EmptyGrid,
@@ -28,10 +29,10 @@ from tanmor import (
     append_point,
     controllability_gramian,
     error_norm,
+    eval_tf,
     extend_point,
     freq_sweep,
     is_strictly_stable,
-    peak_gain,
     psd_factor,
     realize_r,
     refine,
@@ -276,16 +277,34 @@ def grid_peak(sys, num=20000):
     return best_w, best
 
 
+def dense_peak_gain(sys, rtol=1e-6):
+    """The peak search of ``peak_gain`` with every response and slope a dense LU.
+
+    The library's ``peak_gain`` before it read the cached evaluator: the
+    candidates come from ``sys.poles()``, each sigma_max from ``eval_tf``
+    and each local-stage slope from ``tanmor.lti._dense_response_slope``.
+    """
+    return gramians._solved(
+        gramians._peak_search(
+            sys,
+            gramians._pole_candidates(sys.poles(), sys.is_real),
+            lambda omegas: gramians._sigma_max_batch([eval_tf(sys, 1j * w) for w in omegas]),
+            lambda w: gramians._sigma_max_slope(*tanmor.lti._dense_response_slope(sys, w)),
+            rtol,
+        )
+    )
+
+
 def stacked_max_error(g, r, rtol=1e-6):
     """Max-error selection run on the stacked error system g - r.
 
     The library's selector before it cached the parent's responses: every
-    candidate is a dense solve against the (n + r)-state error system.
-    Same mapping of the plateau at infinity and the same folding for real
-    systems.
+    candidate is a dense solve against the (n + r)-state error system
+    (:func:`dense_peak_gain`).  Same mapping of the plateau at infinity and
+    the same folding for real systems.
     """
     err = series_sub(g, r)
-    w = peak_gain(err, rtol).omega_star
+    w = dense_peak_gain(err, rtol).omega_star
     if math.isinf(w):
         poles = err.poles()
         w = 10.0 * float(np.max(np.abs(poles))) if poles.size else 1.0

@@ -32,6 +32,7 @@ from tanmor.lti import IMAG_AXIS_RTOL
 from benchmarks import convection_diffusion, flex_structure_model
 from helpers import (
     assembled_error_norm,
+    dense_peak_gain,
     grid_peak,
     h2_sq_quadrature,
     naive_tf,
@@ -155,6 +156,20 @@ class TestPeakGain:
         pg = peak_gain(sys, rtol=1e-8)
         assert abs(pg.omega_star - w0) < 1e-2
         npt.assert_allclose(pg.gain, 100.0, rtol=1e-3)
+
+    @pytest.mark.parametrize(
+        "make",
+        [flex_structure_model, lambda: random_stable(40, 3, 3, seed=42)],
+        ids=["flex-270", "random-40"],
+    )
+    def test_matches_dense_route(self, make):
+        # The cached evaluator's responses and slopes against the same
+        # search with one dense LU per response and per slope.
+        sys = make()
+        ref = dense_peak_gain(sys)
+        pg = peak_gain(sys)
+        assert pg.gain == pytest.approx(ref.gain, rel=1e-12)
+        assert pg.omega_star == pytest.approx(ref.omega_star, rel=1e-10)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_against_dense_grid(self, seed):

@@ -21,6 +21,7 @@ from tanmor import (
     eval_tf,
     freq_sweep,
     is_strictly_stable,
+    peak_gain,
     reduce,
     resolvent_rows,
     series_sub,
@@ -201,6 +202,20 @@ class TestFreqSweep:
 
     def test_empty_input(self):
         assert freq_sweep(random_stable(3, 1, 1, seed=7), []) == []
+
+    @pytest.mark.parametrize("path", ["modal", "schur"])
+    def test_blocks_reassemble_one_product(self, path, monkeypatch):
+        # A long sweep goes through the evaluator in blocks of bounded
+        # temporary size, here 4 frequencies each with a partial last block.
+        if path == "modal":
+            sys = random_stable(9, 2, 3, seed=5, feedthrough=True)
+        else:
+            sys = rotated(jordan_block(9, -0.7 + 0.4j, p=2, q=3))
+        omegas = np.geomspace(1e-2, 1e2, 25)
+        whole = tanmor.lti._responses(sys, omegas)
+        monkeypatch.setattr(tanmor.lti, "_RESPONSE_BLOCK", 4 * sys.n * 3)
+        npt.assert_allclose(tanmor.lti._responses(sys, omegas), whole, rtol=1e-14, atol=0)
+        assert (tanmor.lti._evaluator(sys).T is None) == (path == "modal")
 
     def test_repeated_sweeps_are_consistent(self):
         sys = random_stable(6, 2, 2, seed=8)
@@ -526,6 +541,35 @@ class TestSchurFormCache:
         assert tanmor.lti._evaluator(sys).T is not None
         assert seen == [sys.n]
 
+    @pytest.mark.parametrize("path", ["modal", "schur", "schur-real"])
+    def test_peak_gain_reads_one_form_and_its_evaluator(self, path, monkeypatch):
+        # The candidate poles, every response and every local-stage slope
+        # come from one kept Schur form and the evaluator built on it, G(0)
+        # of a real system included: no dense LU runs, and a second call
+        # runs no Schur decomposition either.
+        if path == "modal":
+            sys = random_stable(12, 2, 3, seed=4, feedthrough=True)
+        elif path == "schur":
+            sys = rotated(jordan_block(5, -0.7 + 0.4j))
+        else:
+            sys = rotated(real_jordan_block(3, -0.7, 0.4))
+        sizes = {"schur": [], "lu_factor": []}
+        for name, seen in sizes.items():
+
+            def counting(a, *args, _inner=getattr(scipy.linalg, name), _seen=seen, **kwargs):
+                _seen.append(a.shape[0])
+                return _inner(a, *args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, counting)
+        first = peak_gain(sys)
+        assert sizes["schur"].count(sys.n) == 1
+        assert sizes["lu_factor"].count(sys.n) == 0
+        assert (tanmor.lti._evaluator(sys).T is None) == (path == "modal")
+        for seen in sizes.values():
+            seen.clear()
+        assert peak_gain(sys) == first
+        assert sizes == {"schur": [], "lu_factor": []}
+
     def test_one_off_pole_query_leaves_nothing_behind(self):
         # A stability check of a system that is then dropped computes its
         # Schur form and keeps none of it: at n = 270 the form is 1.12 MB.
@@ -597,6 +641,21 @@ class TestResolventRows:
         out = resolvent_rows(sys, 0.0, rows)
         assert out.dtype == np.float64
         npt.assert_allclose(out, rows @ np.linalg.inv(-sys.A), rtol=1e-12)
+        # A real shift takes the real part of the evaluator's solve, so on
+        # the modal path its error grows with cond(V), as at every other
+        # shift: at cond(V) = 9.9e5, just under MODAL_COND_MAX, it measured
+        # 2.4e-11 relative (0.11 cond(V) eps) against a dense solve.
+        A = scipy.linalg.block_diag([[-1.0, 1.0], [0.0, -1.0 - 3.5e-6]], [[-0.5, 2.0], [-2.0, -0.5]])
+        sys = rotated(StateSpace(A, np.ones((4, 2)), np.ones((2, 4))))
+        ev = tanmor.lti._evaluator(sys)
+        cond = np.linalg.norm(ev.Q, 1) * np.linalg.norm(ev.Qinv, 1)
+        assert ev.T is None and 0.9 * tanmor.lti.MODAL_COND_MAX < cond
+        rows = np.random.default_rng(3).standard_normal((3, 4))
+        for s in (0.0, 0.5, -3.0):
+            out = resolvent_rows(sys, s, rows)
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+            want = np.linalg.solve((s * np.eye(4) - sys.A).T, rows.T).T
+            assert np.linalg.norm(out - want) <= 2 * np.finfo(float).eps * cond * np.linalg.norm(want)
 
     def test_wrong_width(self):
         sys = random_stable(4, 1, 1, seed=12)
