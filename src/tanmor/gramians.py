@@ -47,6 +47,7 @@ from .lti import (
     _response_slopes,
     _responses,
     _schur_form,
+    _seed_adjoint_schur_form,
 )
 
 __all__ = [
@@ -456,13 +457,16 @@ class _ParentContext:
     builds before its loop), the split in the parent's own field and
     the poles that max-error selection reads all read that form: one form
     serves the responses, the poles, the Gramian's imaginary-axis check and
-    the Gramian.  It holds no reference to the system itself, so the
-    weak-keyed cache below lets a parent (and all of this) go once callers
-    drop it.
+    the Gramian.  The square-root balancing that :func:`tanmor.hankel_values`
+    and :func:`tanmor.balanced_truncation` read is kept here too, beside the
+    Gramian factor it starts from.  It holds no reference to the system
+    itself, so the weak-keyed cache below lets a parent (and all of this)
+    go once callers drop it.
     """
 
     def __init__(self):
         self._gramian: GramianResult | None = None
+        self._balancing: tuple[np.ndarray, ...] | None = None
         self._blocks: float | None = None
         self._factor: _ParentFactor | None = None
         self._splits: dict[str, _SchurSplit] = {}
@@ -506,6 +510,31 @@ class _ParentContext:
         if output not in self._splits:
             self._splits[output] = _schur_split(g, output, keep=True)
         return self._splits[output]
+
+    def balancing(self, g: StateSpace) -> tuple[np.ndarray, ...]:
+        """Square-root balancing ``(Lp, Lq, U, s, Vh)`` of g, with U diag(s) Vh = Lq* Lp.
+
+        Lp is the Gramian factor of g and Lq that of its dual (A*, C*, B*,
+        D*), whose Gramian is the observability Gramian of g; s holds the
+        Hankel singular values, descending.  The dual is seeded with the
+        form of g flipped (:func:`tanmor.lti._seed_adjoint_schur_form`), so
+        a stable g with a kept form needs no second Schur decomposition.
+        Nothing here checks stability; the callers do.
+        """
+        if self._balancing is None:
+            dual = StateSpace(
+                g.A.conj().T,
+                g.C.conj().T,
+                g.B.conj().T,
+                g.D.conj().T,
+                scalar_field=g.scalar_field,
+            )
+            Lp = self.gramian(g).factor
+            _seed_adjoint_schur_form(g, dual)
+            Lq = controllability_gramian(dual).factor
+            U, s, Vh = np.linalg.svd(Lq.conj().T @ Lp)
+            self._balancing = Lp, Lq, U, s, Vh
+        return self._balancing
 
 
 _PARENTS: "weakref.WeakKeyDictionary[StateSpace, _ParentContext]" = (

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _lapack
 from .errors import IndexOutOfRange, TanmorError, UnstableSystem
-from .gramians import _parent_context, controllability_gramian, error_norm
+from .gramians import _parent_context, error_norm
 from .interpolation import (
     InterpData,
     append_point,
@@ -39,7 +39,6 @@ from .lti import (
     StateSpace,
     _evaluator,
     _keep_schur_form,
-    _seed_adjoint_schur_form,
     is_strictly_stable,
 )
 from .selection import (
@@ -439,25 +438,12 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
 # ---------------------------------------------------------------------------
 
 
-def _balancing_svd(sys: StateSpace):
-    # The observability Gramian is the controllability Gramian of the dual,
-    # whose Schur form is the parent's, flipped (no second factorization).
-    dual = StateSpace(
-        sys.A.conj().T,
-        sys.C.conj().T,
-        sys.B.conj().T,
-        sys.D.conj().T,
-        scalar_field=sys.scalar_field,
-    )
-    Lp = _parent_context(sys).gramian(sys).factor
-    _seed_adjoint_schur_form(sys, dual)
-    Lq = controllability_gramian(dual).factor
-    U, s, Vh = np.linalg.svd(Lq.conj().T @ Lp)
-    return Lp, Lq, U, s, Vh
-
-
 def hankel_values(sys: StateSpace) -> np.ndarray:
     """Hankel singular values of a strictly stable system, descending.
+
+    They come from the balancing that :func:`balanced_truncation` projects
+    with, computed once per parent and kept with its Gramian; each call
+    returns a fresh copy.
 
     Raises
     ------
@@ -469,7 +455,7 @@ def hankel_values(sys: StateSpace) -> np.ndarray:
         raise UnstableSystem("Hankel values are defined for stable systems only")
     if sys.n == 0:
         return np.zeros(0)
-    return _balancing_svd(sys)[3]
+    return _parent_context(sys).balancing(sys)[3].copy()
 
 
 def balanced_truncation(sys: StateSpace, order: int) -> StateSpace:
@@ -478,7 +464,11 @@ def balanced_truncation(sys: StateSpace, order: int) -> StateSpace:
     The projection keeps the ``order`` largest Hankel directions; if the
     request exceeds the numerical Hankel rank, the extra directions carry
     no energy and the model is built at the numerical rank instead (its
-    response is indistinguishable at working precision).
+    response is indistinguishable at working precision).  At rank 0 (no
+    state both reachable and observable) that is the feedthrough alone.
+    The balancing Gramians and their SVD are computed on the first call
+    for a parent and kept with its Gramian, so further calls, at any
+    order, only project.
 
     Raises
     ------
@@ -495,24 +485,15 @@ def balanced_truncation(sys: StateSpace, order: int) -> StateSpace:
         raise IndexOutOfRange(
             f"target order {order} outside [0, {sys.n}]"
         )
-    balancing = _balancing_svd(sys) if order and sys.n else None
-    return _truncate(sys, balancing, order)
-
-
-def _truncate(sys: StateSpace, balancing, order: int) -> StateSpace:
-    """Project ``sys`` onto its ``order`` leading Hankel directions.
-
-    ``balancing`` is ``_balancing_svd(sys)``; it is not read (and may be
-    None) when ``order`` or the state dimension is zero.
-    """
-    if order == 0 or sys.n == 0:
+    if order:
+        Lp, Lq, U, s, Vh = _parent_context(sys).balancing(sys)
+        rank = int(np.count_nonzero(s > sys.n * np.finfo(float).eps * s[0]))
+        order = min(order, rank)
+    if order == 0:
         return StateSpace.constant(sys.D, scalar_field=sys.scalar_field)
-    Lp, Lq, U, s, Vh = balancing
-    rank = int(np.count_nonzero(s > sys.n * np.finfo(float).eps * s[0]))
-    k = min(order, max(rank, 1))
-    root = np.sqrt(s[:k])
-    T = Lp @ Vh[:k].conj().T / root
-    Ti = (U[:, :k].conj().T @ Lq.conj().T) / root[:, None]
+    root = np.sqrt(s[:order])
+    T = Lp @ Vh[:order].conj().T / root
+    Ti = (U[:, :order].conj().T @ Lq.conj().T) / root[:, None]
     return StateSpace(
         Ti @ sys.A @ T,
         Ti @ sys.B,
@@ -562,8 +543,9 @@ def sweep_orders(
     ----------
     baseline : str
         ``"balanced"`` compares against square-root balanced truncation
-        at each order (clipped to the state dimension); the balancing
-        Gramians and SVD are computed once for the whole table.
+        at each order (clipped to the state dimension), one
+        :func:`balanced_truncation` call per order; the balancing Gramians
+        and SVD are computed once per parent and kept with its Gramian.
         ``"none"`` skips the comparison.
 
     Raises
@@ -580,13 +562,6 @@ def sweep_orders(
     if not orders:
         return []
 
-    balancing = None
-    if baseline == "balanced":
-        if not is_strictly_stable(_keep_schur_form(sys)):
-            raise UnstableSystem("balanced truncation requires a strictly stable system")
-        if sys.n and max(orders):
-            balancing = _balancing_svd(sys)
-
     out: list[SweepPoint] = []
     for k in orders:
         row = trace.row_at_order(k)
@@ -595,7 +570,7 @@ def sweep_orders(
         else:
             achieved, err = row.order, row.error_norm
         if baseline == "balanced":
-            bt = _truncate(sys, balancing, min(k, sys.n))
+            bt = balanced_truncation(sys, min(k, sys.n))
             bt_err = error_norm(sys, bt).value
         else:
             bt_err = math.nan

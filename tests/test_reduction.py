@@ -413,8 +413,7 @@ class TestReduce:
             lyapunov_orders.append(a.shape[0])
             return lyapunov(a, q)
 
-        for owner in (tanmor.gramians, tanmor.reduction):
-            monkeypatch.setattr(owner, "controllability_gramian", counting_gramian)
+        monkeypatch.setattr(tanmor.gramians, "controllability_gramian", counting_gramian)
         monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
         monkeypatch.setattr(scipy.linalg._solvers, "schur", counting_schur)
         monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counting_lyapunov)
@@ -874,6 +873,60 @@ class TestBalancedTruncation:
             eval_tf(bt, 0.3j), eval_tf(sys, 0.3j), rtol=1e-10
         )
 
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            StateSpace(-np.eye(3), np.zeros((3, 1)), np.ones((1, 3)), [[0.5]]),
+            StateSpace(-np.diag([1.0, 2.0, 3.0]), [[1.0], [0.0], [0.0]], [[0.0, 1.0, 1.0]]),
+        ],
+        ids=["no-input", "reachable-unobserved"],
+    )
+    def test_zero_hankel_rank_keeps_feedthrough(self, sys):
+        # No state is both reachable and observable: every Hankel value is
+        # zero, so each order is built at rank 0, the feedthrough alone.
+        npt.assert_array_equal(hankel_values(sys), np.zeros(3))
+        for k in (1, 2, 3):
+            bt = balanced_truncation(sys, k)
+            assert bt.n == 0
+            npt.assert_array_equal(bt.D, sys.D)
+        trace = sweep_trace(sys, max_error_cfg(3), [3])
+        table = sweep_orders(sys, trace, [1, 3])
+        assert [pt.baseline_error for pt in table] == [0.0, 0.0]
+
+    def test_hankel_values_are_a_copy(self):
+        sys = random_stable(6, 2, 2, seed=41)
+        first = hankel_values(sys)
+        want = first.copy()
+        first[:] = -1.0
+        npt.assert_array_equal(hankel_values(sys), want)
+
+    def test_balancing_computed_once_per_parent(self, monkeypatch):
+        # The Hankel values, two truncations and a sweep share one dual
+        # Gramian and one n x n SVD, kept with the parent's Gramian.
+        sys = random_stable(10, 2, 3, seed=42, feedthrough=True)
+        trace = sweep_trace(sys, max_error_cfg(8), [2, 4, 8])
+        duals, svd_shapes = [], []
+        gramian, svd = tanmor.gramians.controllability_gramian, np.linalg.svd
+
+        def counting_gramian(s):
+            if s.A.shape == sys.A.shape and np.array_equal(s.A, sys.A.conj().T):
+                duals.append(s)
+            return gramian(s)
+
+        def counting_svd(a, *args, **kwargs):
+            svd_shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(tanmor.gramians, "controllability_gramian", counting_gramian)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        hankel_values(sys)
+        assert balanced_truncation(sys, 4).n == 4
+        assert balanced_truncation(sys, 8).n == 8
+        table = sweep_orders(sys, trace, [2, 4, 8])
+        assert all(math.isfinite(pt.baseline_error) for pt in table)
+        assert len(duals) == 1
+        assert svd_shapes.count((sys.n, sys.n)) == 1
+
     def test_complex_field_preserved(self):
         sys = random_stable(5, 2, 2, seed=35, field="complex")
         bt = balanced_truncation(sys, 2)
@@ -966,6 +1019,21 @@ class TestSweepOrders:
         for pt in table:
             bt = balanced_truncation(sys, min(pt.order, sys.n))
             assert pt.baseline_error == error_norm(sys, bt).value
+
+    def test_baseline_calls_balanced_truncation_per_order(self, monkeypatch):
+        # The sweep's baseline is the public balanced_truncation, looked up
+        # on the module at each order.
+        sys = random_stable(8, 2, 2, seed=43)
+        trace = sweep_trace(sys, max_error_cfg(8), [8])
+        requested, inner = [], tanmor.reduction.balanced_truncation
+
+        def counting(s, order):
+            requested.append(order)
+            return inner(s, order)
+
+        monkeypatch.setattr(tanmor.reduction, "balanced_truncation", counting)
+        assert len(sweep_orders(sys, trace, [0, 2, 5, 12])) == 4
+        assert requested == [0, 2, 5, sys.n]
 
     def test_balanced_baseline_rejects_unstable_parent(self):
         sys = random_mixed(4, 2, 2, 2, seed=40)
