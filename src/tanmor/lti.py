@@ -3,15 +3,16 @@
 The central type is :class:`StateSpace`, an immutable (A, B, C, D)
 realization with an explicit real/complex scalar-field tag.  Sweeps, row
 solves and peak searches go through a per-system evaluator built once, from
-the eigendecomposition of A (K frequencies in one O(K n p q) product) or,
-when its eigenvectors are ill conditioned, from the complex Schur form
-(O(n^2) per frequency).  Both come from one ordered Schur form of A, kept by
-each system that keeps per-system state (the evaluator, the per-parent
-context of :mod:`tanmor.gramians`, a reduced model whose error is measured)
-and read for its poles and Gramian too: the eigenvectors by a triangular
-solve on the Schur factor, their inverse by a triangular inverse.  A dense
-LU of ``sI - A`` is left in the public single-point :func:`eval_tf`, which
-the package does not call, and in :func:`_dense_response_slope`.
+the eigendecomposition of A (K frequencies in one (K x n)(n x pq) product
+against a kept residue matrix) or, when its eigenvectors are ill
+conditioned, from the complex Schur form (O(n^2) per frequency).  Both come
+from one ordered Schur form of A, kept by each system that keeps per-system
+state (the evaluator, the per-parent context of :mod:`tanmor.gramians`, a
+reduced model whose error is measured) and read for its poles and Gramian
+too: the eigenvectors by a triangular solve on the Schur factor, their
+inverse by a triangular inverse.  A dense LU of ``sI - A`` is left in the
+public single-point :func:`eval_tf`, which the package does not call, and
+in :func:`_dense_response_slope`.
 """
 
 from __future__ import annotations
@@ -464,8 +465,13 @@ class _Evaluator:
     A = Q M Q^-1 with M = diag(lam) from the eigendecomposition when the
     eigenvector matrix has cond(Q) = ||Q||_1 ||Q^-1||_1 <= MODAL_COND_MAX;
     otherwise M = T and Q unitary from the complex Schur form.  With
-    Bt = Q^-1 B and Ct = C Q, G(s) = Ct (sI - M)^-1 Bt + D: one O(K n p q)
-    product for K frequencies, or one O(n^2) triangular solve each.
+    Bt = Q^-1 B and Ct = C Q, G(s) = Ct (sI - M)^-1 Bt + D.  The modal path
+    keeps, in place of Ct and Bt, the n x pq residue matrix ``R`` whose row i
+    is vec(c_i b_i^T), c_i column i of Ct and b_i row i of Bt, so that
+    G(s) = sum_i R_i / (s - lam_i) + D: K frequencies are one
+    (K x n)(n x pq) product with W = 1/(s - lam), K n p q multiply-adds and
+    K n divisions.  The Schur path keeps Ct and Bt (``R`` is None) and
+    makes one O(n^2) triangular solve per frequency.
 
     The eigendecomposition is taken from the system's ordered Schur form
     A = Q_s T Q_s* (see :func:`_schur_form`) by :func:`_eigendecomposition`:
@@ -487,10 +493,12 @@ class _Evaluator:
                 T, Q = sla.rsf2csf(T, Q, check_finite=False)
             self.T, self.Q, self.Qinv = -T, Q, Q.conj().T
             lam = np.diag(T).copy()
-        self.lam = lam
-        self.Bt = self.Qinv @ sys.B
-        self.Ct = sys.C @ self.Q
-        self.D = sys.D
+        self.lam, self.D = lam, sys.D
+        Bt, Ct = self.Qinv @ sys.B, sys.C @ self.Q
+        if self.T is None:
+            self.R = (Ct.T[:, :, None] * Bt[:, None, :]).reshape(len(lam), -1)
+        else:
+            self.R, self.Ct, self.Bt = None, Ct, Bt
 
     def _shifts(self, s: np.ndarray) -> np.ndarray:
         """The (K, n) array s_k - lam, checked against RESOLVENT_RCOND_MIN."""
@@ -515,23 +523,32 @@ class _Evaluator:
         """G(s_k) for each shift, stacked as a complex (K, p, q) array."""
         shift = self._shifts(s)
         if self.T is None:
-            return (self.Ct / shift[:, None, :]) @ self.Bt + self.D
+            return self._residues(1.0 / shift) + self.D
         X = [self._solve(row, self.Bt) for row in shift]
         return self.Ct @ np.array(X) + self.D
 
     def slopes(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G(jw_k) and dG(jw)/dw at w_k for shifts s = jw, each stacked (K, p, q).
 
-        The derivative is -j Ct (sI - M)^-2 Bt: one more stacked product,
-        or one more triangular solve per frequency.
+        The derivative is -j Ct (sI - M)^-2 Bt: on the modal path -j (W * W) R,
+        taken in the same product as W R, or one more triangular solve per
+        frequency.
         """
         shift = self._shifts(s)
         if self.T is None:
-            X = self.Ct / shift[:, None, :]
-            return X @ self.Bt + self.D, -1j * ((X / shift[:, None, :]) @ self.Bt)
+            W = 1.0 / shift
+            GY = self._residues(np.concatenate([W, W * W]))
+            return GY[: len(W)] + self.D, -1j * GY[len(W) :]
         X = [self._solve(row, self.Bt) for row in shift]
         Y = [self._solve(row, x) for row, x in zip(shift, X)]
         return self.Ct @ np.array(X) + self.D, -1j * (self.Ct @ np.array(Y))
+
+    def _residues(self, W: np.ndarray) -> np.ndarray:
+        """sum_i W[k, i] R_i for each row k of W, as a (K, p, q) stack."""
+        # Formed as (R^T W^T)^T: as fast as W R, and its rounding keeps the
+        # mixed-parent error norms further inside their checks at 1 and 2
+        # BLAS threads.
+        return (self.R.T @ W.T).T.reshape(len(W), *self.D.shape)
 
     def rows(self, s: complex, rows: np.ndarray) -> np.ndarray:
         """rows @ (sI - A)^-1 for an m x n row block."""
@@ -563,8 +580,9 @@ def _responses(sys: StateSpace, omegas) -> np.ndarray:
 
     Every w, 0 included, takes the evaluator; callers that want a real
     system's G(0) exactly real take its real part.  The frequencies go
-    through in blocks whose (K, p, n) or (K, n, q) temporary holds at most
-    ``_RESPONSE_BLOCK`` complex entries (16 MiB): a peak search over its
+    through in blocks of K with K n max(p, q, 1) <= ``_RESPONSE_BLOCK``
+    complex entries (16 MiB), which bounds the (K, n) weights of the modal
+    path and the (K, n, q) solves of the Schur path: a peak search over its
     2n + 1 pole candidates holds no O(n^2 max(p, q)) array.
     """
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
@@ -572,7 +590,7 @@ def _responses(sys: StateSpace, omegas) -> np.ndarray:
     if sys.n == 0:
         out[:] = sys.D
         return out
-    step = max(1, _RESPONSE_BLOCK // (sys.n * max(sys.p, sys.q)))
+    step = max(1, _RESPONSE_BLOCK // (sys.n * max(sys.p, sys.q, 1)))
     for k in range(0, omegas.size, step):
         out[k : k + step] = _evaluator(sys).responses(1j * omegas[k : k + step])
     return out
@@ -581,7 +599,8 @@ def _responses(sys: StateSpace, omegas) -> np.ndarray:
 def _response_slopes(sys: StateSpace, omegas) -> tuple[np.ndarray, np.ndarray]:
     """G(j*w) and dG(j*w)/dw for each w, as complex (K, p, q) stacks.
 
-    Both come from the cached evaluator, with no dense path at w = 0.
+    Both come from the cached evaluator, with no dense path at w = 0: on the
+    modal path one product of [W; W * W] with the residue matrix.
     """
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
     if sys.n == 0:
@@ -610,7 +629,8 @@ def freq_sweep(sys: StateSpace, omegas) -> list[FreqResponse]:
     Equivalent to ``[eval_tf(sys, 1j * w) for w in omegas]`` up to
     rounding, but A is factored once per system (and cached while the
     system lives): by its eigendecomposition, which evaluates all
-    frequencies in one product, or, when the eigenvector matrix has
+    frequencies as one product of the weights 1/(j*omega - lam) with an
+    n x pq residue matrix, or, when the eigenvector matrix has
     condition above ``MODAL_COND_MAX``, by its complex Schur form, one
     triangular solve per frequency.  Either comes from the system's cached
     ordered Schur form, which its Gramian reads too (see :class:`_Evaluator`),

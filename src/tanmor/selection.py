@@ -82,6 +82,22 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
 
+def _next_floats(rng: SplitMix64, k: int) -> list[float]:
+    """The next k values of ``rng.next_float()``, drawn in one vectorized step.
+
+    NumPy's uint64 arithmetic wraps modulo 2^64 as the masks of
+    :meth:`SplitMix64.next_u64` do, and a 53-bit integer converts to a
+    double exactly, so the floats and the advanced state are the scalar ones.
+    """
+    gamma = 0x9E3779B97F4A7C15
+    z = np.uint64(rng.state) + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(gamma)
+    rng.state = (rng.state + k * gamma) & SplitMix64._MASK
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)).astype(float) * 2.0**-53).tolist()
+
+
 class StrategyKind(enum.Enum):
     MAX_ERROR = "max-error"
     DISCRETE = "discrete"
@@ -313,9 +329,9 @@ def select_random(
         rng = SplitMix64(cfg.seed)
     lg_lo = math.log10(cfg.omega_min)
     lg_hi = math.log10(cfg.omega_max)
-    draws = np.array(
-        [10.0 ** (lg_lo + rng.next_float() * (lg_hi - lg_lo)) for _ in range(cfg.K)]
-    )
+    # Each power stays a Python float power: NumPy's differs from libm's
+    # pow by an ulp on about 5% of draws.
+    draws = np.array([10.0 ** (lg_lo + x * (lg_hi - lg_lo)) for x in _next_floats(rng, cfg.K)])
     # Fresh draws every call: memoizing them all would only grow the memo,
     # so only the winner is kept, for refine to read.
     gs = _responses(g, draws)

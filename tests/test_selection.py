@@ -82,6 +82,21 @@ class TestSplitMix64:
         b = SplitMix64(7)
         assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
 
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1, (1 << 63) + 5])
+    def test_vectorized_draws_continue_the_scalar_stream(self, seed):
+        # select_random's batch of uniforms, drawn in one uint64 step: the
+        # floats of k next_float() calls exactly, and the generator advanced
+        # past them, so a second batch goes on where the first stopped.
+        scalar, batched = SplitMix64(seed), SplitMix64(seed)
+        want = [scalar.next_float() for _ in range(150)]
+        first = tanmor.selection._next_floats(batched, 100)
+        second = tanmor.selection._next_floats(batched, 50)
+        assert all(type(x) is float for x in first + second)
+        assert first + second == want
+        assert batched.state == scalar.state
+        assert tanmor.selection._next_floats(batched, 0) == []
+        assert batched.next_float() == scalar.next_float()
+
 
 class TestSelectionStrategy:
     def test_discrete_auto_grid(self):
