@@ -758,13 +758,22 @@ def _hamiltonian(sys: StateSpace, gamma: float) -> np.ndarray:
     return ham
 
 
-def _peak(omega: float, gain: float, sigma_d: float) -> PeakGain:
-    if math.isinf(omega):
-        return PeakGain(math.inf, sigma_d)
-    return PeakGain(omega, gain)
+class _Round(NamedTuple):
+    """One Hamiltonian round of a peak search (see :func:`_peak_search`).
+
+    ``ham`` is the 2n x 2n Hamiltonian at the round's level, for the caller
+    to solve; ``provisional`` is the peak, mapped by the search's
+    ``locate`` step, that the round certifies if ``ham`` has no imaginary
+    eigenvalue that improves on it.
+    """
+
+    ham: np.ndarray
+    provisional: object
 
 
-def _peak_search(sys: StateSpace, candidates, sigma_max, sigma_slope, rtol: float):
+def _peak_search(
+    sys: StateSpace, candidates, sigma_max, sigma_slope, rtol: float, locate=lambda peak: peak
+):
     """Bruinsma-Steinbuch search for the peak of the response of ``sys``, as a generator.
 
     ``sigma_max`` maps a list of frequencies to the largest singular values
@@ -782,24 +791,29 @@ def _peak_search(sys: StateSpace, candidates, sigma_max, sigma_slope, rtol: floa
     imaginary-eigenvalue frequencies.  With the local maximum in hand, the
     first round usually finds no such frequency and certifies the gain.
 
-    The eigensolve of each round is left to the caller: the generator
-    yields ``(ham, provisional)``, where ``provisional`` is the
-    :class:`PeakGain` that the round certifies if ``ham`` has no
-    imaginary eigenvalue that improves on it, and takes the eigenvalues of
-    ``ham`` back through ``send``.  The search's result is the generator's
-    return value; it equals the last provisional peak unless the search
-    raises.  The generator keeps no reference to ``ham``.
-    :func:`_solved` drives it on the calling thread; :func:`tanmor.reduce`
-    hands each ``ham`` to a worker thread and goes on with the
-    provisional peak.
+    Every peak the search reports goes through its caller's ``locate``
+    step, which maps a :class:`PeakGain` to what the caller wants (the
+    peak itself for :func:`peak_gain`, a frequency for
+    :func:`tanmor.select_max_error`).  The eigensolve of each round is
+    left to the caller: the generator yields a :class:`_Round`, whose
+    ``provisional`` is the mapped peak that the round certifies, and
+    takes the eigenvalues of its ``ham`` back through ``send``.  The
+    search's result, the generator's return value, is the mapped peak;
+    it equals the last provisional one unless the search raises.  The
+    generator keeps no reference to ``ham``.  :func:`_resume` is the one
+    step that drives it: :func:`_solved` loops it on the calling thread,
+    and :func:`tanmor.reduce` hands each ``ham`` to a worker thread and
+    goes on with the provisional peak.
     """
     if not 0.0 < rtol < 0.5:
         raise ValueError(f"rtol must lie in (0, 0.5), got {rtol}")
     sd = np.linalg.svd(sys.D, compute_uv=False) if sys.D.size else np.zeros(0)
     sigma_d = float(sd[0]) if sd.size else 0.0
     if sys.n == 0:
-        return PeakGain(math.inf, sigma_d)
+        return locate(PeakGain(math.inf, sigma_d))
 
+    # best_w stays at infinity, with best_gain = sigma_d, until a finite
+    # frequency scores higher.
     best_gain, best_w, best_i = sigma_d, math.inf, None
     omegas = sorted(candidates)
     for i, (w, s) in enumerate(zip(omegas, sigma_max(omegas))):
@@ -807,7 +821,7 @@ def _peak_search(sys: StateSpace, candidates, sigma_max, sigma_slope, rtol: floa
             best_gain, best_w, best_i = float(s), float(w), i
 
     if best_gain <= 0.0:
-        return PeakGain(0.0, 0.0)
+        return locate(PeakGain(0.0, 0.0))
 
     eps = rtol / 2.0
     # sigma_max of a real system is even in w, so w = 0 is stationary.
@@ -821,7 +835,7 @@ def _peak_search(sys: StateSpace, candidates, sigma_max, sigma_slope, rtol: floa
 
     for _ in range(PEAK_SEARCH_MAX_ROUNDS):
         gamma = best_gain * (1.0 + 2.0 * eps)
-        eigs = yield _hamiltonian(sys, gamma), _peak(best_w, best_gain, sigma_d)
+        eigs = yield _Round(_hamiltonian(sys, gamma), locate(PeakGain(best_w, best_gain)))
         freqs = _imag_eig_frequencies(eigs, sys.is_real)
         if freqs.size == 0:
             break
@@ -837,21 +851,33 @@ def _peak_search(sys: StateSpace, candidates, sigma_max, sigma_slope, rtol: floa
             f"peak search not certified after {PEAK_SEARCH_MAX_ROUNDS} Hamiltonian "
             f"rounds (best gain {best_gain:.6g} at omega={best_w:.6g})"
         )
-    return _peak(best_w, best_gain, sigma_d)
+    return locate(PeakGain(best_w, best_gain))
+
+
+def _resume(search, eigs):
+    """Send ``eigs`` to a search: its next :class:`_Round`, or its result once it has one.
+
+    ``eigs`` is None to start the search, else the eigenvalues of the last
+    round's Hamiltonian.
+    """
+    try:
+        return search.send(eigs)
+    except StopIteration as done:
+        return done.value
 
 
 def _solved(search):
     """Run a peak search (see :func:`_peak_search`) to its result, solving each Hamiltonian here.
 
-    Each Hamiltonian is solved in place by :func:`tanmor._lapack.eigvals_overwrite`,
-    the one eigensolver of every certificate.
+    It loops :func:`_resume`, solving each :class:`_Round`'s Hamiltonian in
+    place by :func:`tanmor._lapack.eigvals_overwrite`, the one eigensolver
+    of every certificate.  :func:`peak_gain` and
+    :func:`tanmor.select_max_error` run their searches through it.
     """
-    try:
-        ham, _ = next(search)
-        while True:
-            ham, _ = search.send(_lapack.eigvals_overwrite(ham))
-    except StopIteration as done:
-        return done.value
+    ask = _resume(search, None)
+    while isinstance(ask, _Round):
+        ask = _resume(search, _lapack.eigvals_overwrite(ask.ham))
+    return ask
 
 
 def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:

@@ -187,10 +187,6 @@ class InterpData:
         """Fresh container with no points, bound to the shape of ``sys``."""
         return cls((), (), sys.n, sys.p, sys.q, sys.scalar_field)
 
-    @property
-    def is_real(self) -> bool:
-        return self.scalar_field == "real"
-
     def frequencies(self) -> tuple[float, ...]:
         return tuple(pt.omega for pt in self.points)
 

@@ -18,6 +18,7 @@ in :func:`_dense_response_slope`.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 import weakref
 
 import numpy as np
@@ -266,7 +267,8 @@ def _resolvent_lu(A: np.ndarray, s: complex, real_path: bool):
     """LU factors of sI - A, in real arithmetic when ``real_path`` is set.
 
     Raises SingularResolvent when the reciprocal condition estimate is
-    below RESOLVENT_RCOND_MIN.
+    below RESOLVENT_RCOND_MIN, also for an exactly singular pivot, on which
+    SciPy's ``LinAlgWarning`` is silenced rather than leaked to the caller.
     """
     n = A.shape[0]
     shift = complex(s).real if real_path else complex(s)
@@ -274,7 +276,9 @@ def _resolvent_lu(A: np.ndarray, s: complex, real_path: bool):
     anorm = np.linalg.norm(M, 1)
     if anorm == 0.0:
         raise SingularResolvent(f"sI - A is the zero matrix at s={s}")
-    lu, piv = sla.lu_factor(M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(M)
     gecon = get_lapack_funcs("gecon", (lu,))
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0 or not np.isfinite(rcond) or rcond < RESOLVENT_RCOND_MIN:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _lapack
 from .errors import IndexOutOfRange, TanmorError, UnstableSystem
-from .gramians import _parent_context, error_norm
+from .gramians import _Round, _parent_context, _resume, error_norm
 from .interpolation import (
     InterpData,
     append_point,
@@ -227,8 +227,9 @@ class _Step(NamedTuple):
 def _proposal(sys, model, cfg: ReducerConfig, rng: SplitMix64 | None):
     """The next frequency, as a generator that returns it.
 
-    Max-error selection yields its Hamiltonians as :func:`_max_error_search`
-    does; the other rules yield nothing.
+    Max-error selection yields the Hamiltonian rounds of
+    :func:`_max_error_search` (:class:`tanmor.gramians._Round`); the other
+    rules yield nothing.
     """
     kind = cfg.strategy.kind
     if kind is StrategyKind.MAX_ERROR:
@@ -236,14 +237,6 @@ def _proposal(sys, model, cfg: ReducerConfig, rng: SplitMix64 | None):
     if kind is StrategyKind.DISCRETE:
         return select_discrete(sys, model, cfg.strategy.grid)
     return select_random(sys, model, cfg.strategy, rng)
-
-
-def _resume(proposal, eigs):
-    """The proposal's frequency once it is chosen, else its next ``(ham, provisional frequency)``."""
-    try:
-        return proposal.send(eigs)
-    except StopIteration as done:
-        return done.value
 
 
 def _halted(exc: BaseException) -> str:
@@ -265,12 +258,15 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
     keeps the last completed state, with the cause recorded in
     ``stop_reason``.
 
-    With max-error selection, the Hamiltonian eigensolve that certifies an
-    iteration's frequency runs on one worker thread, started with the
-    first such solve and joined before this returns.  Meanwhile this
-    thread completes the iteration with the provisional frequency and
-    takes the next iteration's proposal through its first Hamiltonian,
-    which it solves itself.  The iteration is recorded only once its
+    With max-error selection, the proposal is a peak search that yields
+    Hamiltonian rounds (``tanmor.gramians._Round``), each with the
+    provisional frequency it certifies, and that is driven by the same
+    step as every peak search (``tanmor.gramians._resume``).  The
+    eigensolve that certifies an iteration's frequency runs on one worker
+    thread, started with the first such solve and joined before this
+    returns.  Meanwhile this thread completes the iteration with the
+    provisional frequency and takes the next iteration's proposal through
+    its first Hamiltonian, which it solves itself.  The iteration is recorded only once its
     certificate confirms the frequency.  If the certificate moves the
     frequency (the search needs another round), or the solve or the search
     raises, that work is thrown away and the iteration goes on from the
@@ -291,6 +287,9 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
     ------
     InvariantViolation
         If the parent has imaginary-axis poles (no Gramian exists).
+    IllConditionedLyapunov
+        If the parent Gramian's coupling or block solve is refused (see
+        :func:`tanmor.controllability_gramian`); nothing is iterated.
     """
     gram = _parent_context(sys).gramian(sys)
     if sys.n:
@@ -373,8 +372,8 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
         proposal = _proposal(sys, step.state.model, cfg, rng)
         try:
             ask = _resume(proposal, None)
-            if isinstance(ask, tuple):
-                ask = _resume(proposal, _lapack.eigvals_overwrite(ask[0]))
+            if isinstance(ask, _Round):
+                ask = _resume(proposal, _lapack.eigvals_overwrite(ask.ham))
         except Exception:
             return step, done, None
         return step, done, (done, proposal, ask)
@@ -398,7 +397,7 @@ def reduce(sys: StateSpace, cfg: ReducerConfig) -> ReductionTrace:
             try:
                 if ask is None:
                     ask = _resume(proposal, None)
-                while isinstance(ask, tuple):
+                while isinstance(ask, _Round):
                     # A Hamiltonian to certify the provisional frequency
                     # with: solved by the worker while this thread goes on.
                     # The worker reads the clock as soon as it is solved.

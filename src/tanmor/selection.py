@@ -4,7 +4,7 @@ Three interchangeable rules propose the next interpolation frequency from
 the current error system:
 
 * max-error: the frequency attaining the L-infinity norm of G - R,
-  located by the Hamiltonian peak-gain solver;
+  found by the Hamiltonian peak-gain solver;
 * discrete: the argmax of the pointwise spectral error over a fixed grid;
 * random: the argmax over a fresh batch of log-uniform draws from a
   deterministic, portable generator.
@@ -230,10 +230,12 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
     Hamiltonian test on the stacked error system ``series_sub(g, r)`` then
     certifies the result, usually in its first round, each Hamiltonian
     solved in place on the calling thread
-    (:func:`tanmor._lapack.eigvals_overwrite`); :func:`tanmor.reduce` runs
-    the same search, but solves the certifying Hamiltonian on a worker
-    thread while it goes on with the provisional frequency, and keeps that
-    work only once the certificate confirms it.
+    (:func:`tanmor._lapack.eigvals_overwrite`).  The search maps each peak
+    it reports to a frequency as below, so every round it yields carries
+    the frequency it certifies; :func:`tanmor.reduce` runs the same
+    search, but solves each round's Hamiltonian on a worker thread while
+    it goes on with that provisional frequency, and keeps that work only
+    once the certificate confirms it.
 
     A plateau-at-infinity result is mapped to 10 times the largest pole
     magnitude of the error system (there is no finite argmax to return);
@@ -249,12 +251,12 @@ def select_max_error(g: StateSpace, r: StateSpace, rtol: float = 1e-6) -> float:
 
 
 def _max_error_search(g: StateSpace, r: StateSpace, rtol: float = 1e-6):
-    """:func:`select_max_error` as a generator, in the protocol of :func:`_peak_search`.
+    """:func:`select_max_error` as a peak search (see :func:`tanmor.gramians._peak_search`).
 
-    It yields ``(ham, omega)``: a Hamiltonian to solve and the frequency
-    that is returned if its eigenvalues certify the current peak.  The
-    generator returns the selected frequency and keeps no reference to
-    ``ham``.
+    Its ``locate`` step maps each peak to a frequency, so each
+    :class:`tanmor.gramians._Round` carries the frequency that is returned
+    if its Hamiltonian's eigenvalues certify the current peak, and the
+    search returns the selected frequency.
     """
     err = series_sub(g, r)
     # Kept: the evaluators of g and r read these forms next.
@@ -276,17 +278,8 @@ def _max_error_search(g: StateSpace, r: StateSpace, rtol: float = 1e-6):
             w = abs(w)
         return float(w)
 
-    def located(request):
-        ham, peak = request
-        return ham, locate(peak)
-
-    search = _peak_search(err, _pole_candidates(poles, err.is_real), sigma_max, sigma_slope, rtol)
-    eigs = None
-    while True:
-        try:
-            eigs = yield located(search.send(eigs))
-        except StopIteration as done:
-            return locate(done.value)
+    candidates = _pole_candidates(poles, err.is_real)
+    return _peak_search(err, candidates, sigma_max, sigma_slope, rtol, locate)
 
 
 def select_discrete(g: StateSpace, r: StateSpace, grid) -> float:

@@ -150,6 +150,21 @@ def eigvals_sizes(monkeypatch):
     return sizes
 
 
+def perturbed_trsyl(monkeypatch):
+    """Scale every solution of ``tanmor.gramians._blocked_trsyl`` by 1 + 1e-6.
+
+    Each Sylvester solve of the Gramian path then leaves a defect of 1e-6
+    times its right-hand side, far above the residual bounds the path
+    checks, so the first solve that is checked refuses.
+    """
+    solve = gramians._blocked_trsyl
+
+    def perturbed(*args, **kwargs):
+        return solve(*args, **kwargs) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(gramians, "_blocked_trsyl", perturbed)
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------

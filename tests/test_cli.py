@@ -19,7 +19,7 @@ from tanmor import StateSpace
 from tanmor.cli import COMPARE_HEADER, TRACE_HEADER, build_parser, run_cli
 from tanmor.modelio import load_model, save_model
 
-from helpers import modal_stable
+from helpers import modal_stable, perturbed_trsyl
 
 
 @pytest.fixture()
@@ -364,4 +364,13 @@ class TestFailureExits:
     def test_no_output_written_on_failure(self, tmp_path, capsys):
         run_cli(reduce_args(tmp_path / "absent.txt", tmp_path / "x"))
         capsys.readouterr()
+        assert not list(tmp_path.glob("x.*"))
+
+    def test_refused_parent_gramian_exits_1(self, plant, tmp_path, capsys, monkeypatch):
+        path, _ = plant
+        perturbed_trsyl(monkeypatch)
+        rc = run_cli(reduce_args(path, tmp_path / "x"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[IllConditionedLyapunov]: Sylvester residual ")
         assert not list(tmp_path.glob("x.*"))

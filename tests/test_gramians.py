@@ -32,12 +32,16 @@ from tanmor.lti import IMAG_AXIS_RTOL
 from benchmarks import convection_diffusion, flex_structure_model
 from helpers import (
     assembled_error_norm,
+    decoupled_resonances,
     dense_peak_gain,
+    eigvals_sizes,
     grid_peak,
     h2_sq_quadrature,
     naive_tf,
+    perturbed_trsyl,
     random_mixed,
     random_stable,
+    resonance_peak,
 )
 
 
@@ -115,6 +119,26 @@ class TestControllabilityGramian:
         res = controllability_gramian(StateSpace.constant(np.ones((2, 2))))
         assert res.theta.shape == (0, 0)
         assert res.residual == 0.0
+
+    def test_coupling_solve_refusal(self, monkeypatch):
+        # Only a parent with poles on both sides has a coupling to solve,
+        # and that solve comes before either block solve.
+        sys = random_mixed(4, 3, 2, 2, seed=30)
+        perturbed_trsyl(monkeypatch)
+        message = "^stable/antistable coupling solve left residual "
+        with pytest.raises(IllConditionedLyapunov, match=message):
+            controllability_gramian(sys)
+
+    def test_block_solve_refusal(self, monkeypatch):
+        sys = random_stable(8, 2, 2, seed=0)
+        perturbed_trsyl(monkeypatch)
+        message = r"^Sylvester residual \S+ of a Gramian block exceeds "
+        with pytest.raises(IllConditionedLyapunov, match=message):
+            controllability_gramian(sys)
+        # reduce computes the parent Gramian before its first iteration, so
+        # the refusal is raised, not recorded as a stop reason.
+        with pytest.raises(IllConditionedLyapunov, match=message):
+            reduce(sys, ReducerConfig(SelectionStrategy.max_error(), max_order=4))
 
 
 def test_psd_factor_reconstructs():
@@ -209,6 +233,41 @@ class TestPeakGain:
         assert math.isinf(const.omega_star) and const.gain == 2.0
         zero = peak_gain(StateSpace([[-1.0]], [[0.0]], [[0.0]]))
         assert zero.gain == 0.0
+
+    def test_crossings_without_improvement_end_the_search(self, monkeypatch):
+        # At zeta = 1e-8 the level (1 + rtol) * gain still crosses the
+        # resonance numerically: the round reports two near-axis
+        # eigenvalues, whose midpoint scores no higher than the local
+        # maximum, and that ends the search.
+        zeta = 1e-8
+        sys = decoupled_resonances((1.0, zeta, 1.0))
+        sizes = eigvals_sizes(monkeypatch)
+        pg = peak_gain(sys)
+        assert sizes == [2 * sys.n]
+        npt.assert_allclose(pg.gain, 1.0 / (2.0 * zeta * math.sqrt(1.0 - zeta**2)), rtol=1e-6)
+        assert pg.omega_star == pytest.approx(1.0, rel=1e-12)
+
+    def test_complex_field_rounds(self, monkeypatch):
+        # A real two-resonance system shifted by -7j: G_c(jw) = G(j(w + 7)),
+        # so its peaks sit at signed frequencies, the taller resonance at
+        # w + 7 = +/-4.53.  The local stage climbs the lower one; the
+        # Hamiltonian rounds, with crossings read in the complex field,
+        # move to the taller one and then certify it.
+        sharp = resonance_peak(2.0, 5e-3)
+        base = decoupled_resonances(
+            (2.0, 5e-3, 1.0), (5.0, 0.3, 1.005 * sharp / resonance_peak(5.0, 0.3))
+        )
+        sys = StateSpace(base.A - 7j * np.eye(base.n), base.B, base.C, scalar_field="complex")
+        sizes = eigvals_sizes(monkeypatch)
+        pg = peak_gain(sys)
+        assert sizes == [2 * sys.n] * 3
+        npt.assert_allclose(pg.gain, 1.005 * sharp, rtol=1e-6)
+        # The two mirror peaks tie, so either may be reported.
+        taller = 5.0 * math.sqrt(1.0 - 2.0 * 0.3**2)
+        assert abs(pg.omega_star + 7.0) == pytest.approx(taller, rel=1e-6)
+        ref = dense_peak_gain(sys)
+        assert pg.gain == pytest.approx(ref.gain, rel=1e-12)
+        assert abs(pg.omega_star + 7.0) == pytest.approx(abs(ref.omega_star + 7.0), rel=1e-10)
 
     @pytest.mark.parametrize("rtol", [0.0, -1.0, 0.5, 0.7])
     def test_rtol_range(self, rtol):

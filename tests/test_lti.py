@@ -181,6 +181,17 @@ class TestEvalTf:
         d = np.array([[2.0]])
         npt.assert_array_equal(eval_tf(StateSpace.constant(d), 1j), d)
 
+    def test_exact_zero_pivot_raises_singular_resolvent(self):
+        # sI - A = diag(0, 1) has an exactly zero pivot, on which SciPy's
+        # lu_factor warns; the warning must not reach the caller (the suite
+        # runs with warnings as errors) ahead of the documented exception.
+        sys = StateSpace(np.diag([-1.0, -2.0]), np.ones((2, 1)), np.ones((1, 2)))
+        with pytest.raises(SingularResolvent):
+            eval_tf(sys, -1.0)
+        axis = StateSpace(np.diag([0.0, -2.0]), np.ones((2, 1)), np.ones((1, 2)))
+        with pytest.raises(SingularResolvent):
+            tanmor.lti._dense_response_slope(axis, 0.0)
+
 
 class TestFreqSweep:
     @pytest.mark.parametrize("field", ["real", "complex"])
