@@ -33,27 +33,17 @@ from .gramians import (
     error_norm,
     h2_norm_sq,
     peak_gain,
-    psd_factor,
 )
-from .interpolation import (
-    InterpData,
-    InterpPoint,
-    append_point,
-    extend_point,
-    realize_h,
-    realize_r,
-    truncated_point,
-)
+from .interpolation import InterpData, realize_h
 from .lti import (
     FreqResponse,
     StateSpace,
     eval_tf,
     freq_sweep,
     is_strictly_stable,
-    resolvent_rows,
     series_sub,
 )
-from .modelio import detect_format, load_model, save_model
+from .modelio import load_model, save_model
 from .reduction import (
     ReducerConfig,
     ReductionTrace,
@@ -64,17 +54,7 @@ from .reduction import (
     reduce,
     sweep_orders,
 )
-from .selection import (
-    Refinement,
-    SelectionStrategy,
-    SplitMix64,
-    StrategyKind,
-    refine,
-    select_discrete,
-    select_max_error,
-    select_random,
-)
-from .weights import WeightSolution, solve_weights
+from .selection import SelectionStrategy, StrategyKind
 
 __version__ = "0.1.0"
 
@@ -103,7 +83,6 @@ __all__ = [
     "FreqResponse",
     "eval_tf",
     "freq_sweep",
-    "resolvent_rows",
     "series_sub",
     "is_strictly_stable",
     # gramians and norms
@@ -111,30 +90,15 @@ __all__ = [
     "PeakGain",
     "ErrorEstimate",
     "controllability_gramian",
-    "psd_factor",
     "h2_norm_sq",
     "peak_gain",
     "error_norm",
     # interpolation
-    "InterpPoint",
     "InterpData",
-    "truncated_point",
-    "append_point",
-    "extend_point",
-    "realize_r",
     "realize_h",
-    # weights
-    "WeightSolution",
-    "solve_weights",
     # selection
     "StrategyKind",
     "SelectionStrategy",
-    "SplitMix64",
-    "Refinement",
-    "select_max_error",
-    "select_discrete",
-    "select_random",
-    "refine",
     # reduction
     "ReducerConfig",
     "TraceRow",
@@ -145,7 +109,6 @@ __all__ = [
     "hankel_values",
     "sweep_orders",
     # io
-    "detect_format",
     "load_model",
     "save_model",
 ]

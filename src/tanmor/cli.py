@@ -19,7 +19,8 @@ import math
 import pathlib
 import sys as _sys
 
-from .errors import ParseError, TanmorError
+from .errors import ParseError, TanmorError, UnstableSystem
+from .lti import is_strictly_stable
 from .modelio import detect_format, load_model, save_model
 from .reduction import ReducerConfig, ReductionTrace, reduce, sweep_orders
 from .selection import SelectionStrategy
@@ -186,6 +187,8 @@ def _parse_orders(text: str) -> list[int]:
         raise ValueError(f"--orders must be comma-separated integers, got {text!r}")
     if not orders:
         raise ValueError("--orders is empty")
+    if any(k < 0 for k in orders):
+        raise ValueError("orders must be nonnegative")
     return orders
 
 
@@ -242,6 +245,11 @@ def _cmd_reduce(args) -> int:
         error_rel_tol=args.error_tol,
         max_iters=args.max_iters,
     )
+    # Refuse the balanced baseline before the run rather than after it has
+    # written its files; the poles come from the Schur form load_model kept.
+    baseline = orders is not None and args.baseline == "balanced"
+    if baseline and not is_strictly_stable(model):
+        raise UnstableSystem("balanced truncation requires a strictly stable system")
     trace = reduce(model, cfg)
 
     out = pathlib.Path(args.out)

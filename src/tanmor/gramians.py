@@ -58,7 +58,6 @@ __all__ = [
     "h2_norm_sq",
     "peak_gain",
     "error_norm",
-    "psd_factor",
 ]
 
 #: Accepted Lyapunov solves must satisfy residual <= this times ||B B*||_F.
@@ -794,9 +793,9 @@ def _peak_search(
     Every peak the search reports goes through its caller's ``locate``
     step, which maps a :class:`PeakGain` to what the caller wants (the
     peak itself for :func:`peak_gain`, a frequency for
-    :func:`tanmor.select_max_error`).  The eigensolve of each round is
-    left to the caller: the generator yields a :class:`_Round`, whose
-    ``provisional`` is the mapped peak that the round certifies, and
+    :func:`tanmor.selection.select_max_error`).  The eigensolve of each
+    round is left to the caller: the generator yields a :class:`_Round`,
+    whose ``provisional`` is the mapped peak that the round certifies, and
     takes the eigenvalues of its ``ham`` back through ``send``.  The
     search's result, the generator's return value, is the mapped peak;
     it equals the last provisional one unless the search raises.  The
@@ -872,7 +871,7 @@ def _solved(search):
     It loops :func:`_resume`, solving each :class:`_Round`'s Hamiltonian in
     place by :func:`tanmor._lapack.eigvals_overwrite`, the one eigensolver
     of every certificate.  :func:`peak_gain` and
-    :func:`tanmor.select_max_error` run their searches through it.
+    :func:`tanmor.selection.select_max_error` run their searches through it.
     """
     ask = _resume(search, None)
     while isinstance(ask, _Round):
@@ -902,9 +901,9 @@ def peak_gain(sys: StateSpace, rtol: float = 1e-6) -> PeakGain:
     factors nothing.  Each Hamiltonian is solved in place on the calling
     thread by LAPACK's xGEEV (:func:`tanmor._lapack.eigvals_overwrite`),
     one 2n x 2n array per round.
-    :func:`tanmor.select_max_error` runs the same search on g - r, with the
-    responses of g cached per parent, and :func:`tanmor.reduce` solves each
-    certifying Hamiltonian on a worker thread.
+    :func:`tanmor.selection.select_max_error` runs the same search on g - r,
+    with the responses of g cached per parent, and :func:`tanmor.reduce`
+    solves each certifying Hamiltonian on a worker thread.
 
     Parameters
     ----------

@@ -45,15 +45,7 @@ from .errors import (
 )
 from .lti import FreqResponse, StateSpace, _block_diag, resolvent_rows
 
-__all__ = [
-    "InterpPoint",
-    "InterpData",
-    "truncated_point",
-    "append_point",
-    "extend_point",
-    "realize_r",
-    "realize_h",
-]
+__all__ = ["InterpData", "realize_h"]
 
 #: Singular values at or below this times sigma_1 count as numerically zero
 #: when slicing response SVDs.

@@ -75,7 +75,9 @@ class StateSpace:
     scalar_field : {"real", "complex"}, optional
         Storage field.  By default it is inferred: if every entry of every
         matrix is real-valued the system is stored with float64 entries,
-        otherwise complex128.  Passing "complex" forces complex storage.
+        otherwise complex128.  Passing "complex" forces complex storage;
+        passing "real" also takes complex input whose imaginary parts are
+        all zero, and keeps its real parts.
 
     Notes
     -----
@@ -108,6 +110,11 @@ class StateSpace:
                 raise InvariantViolation(
                     "scalar_field='real' but a matrix has nonzero imaginary entries"
                 )
+            # Drop the zero imaginary parts here: the float64 cast below
+            # would warn (ComplexWarning) on complex input.
+            A, B, C = (M.real for M in raw[:3])
+            if D is not None:
+                D = raw[3].real
         dtype = np.float64 if scalar_field == "real" else np.complex128
 
         A = _as_matrix("A", A, dtype)

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .lti import StateSpace
 
-__all__ = ["detect_format", "load_model", "save_model"]
+__all__ = ["load_model", "save_model"]
 
 _ANCHOR = re.compile(r"^\s*(A|B|C|D|name|field|n|p|q)\s*=\s*(.*?)\s*$")
 _MATRIX_KEYS = ("A", "B", "C", "D")

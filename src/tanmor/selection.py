@@ -44,16 +44,7 @@ from .lti import (
     series_sub,
 )
 
-__all__ = [
-    "SplitMix64",
-    "StrategyKind",
-    "SelectionStrategy",
-    "Refinement",
-    "select_max_error",
-    "select_discrete",
-    "select_random",
-    "refine",
-]
+__all__ = ["StrategyKind", "SelectionStrategy"]
 
 
 class SplitMix64:

@@ -32,7 +32,7 @@ from .gramians import GramianResult
 from .interpolation import InterpData
 from .lti import StateSpace
 
-__all__ = ["WeightSolution", "solve_weights"]
+__all__: list[str] = []
 
 #: Eigenvalues of Cs Theta Cs* at or below this times the largest eigenvalue
 #: count as zero for the rank diagnostic (equivalently, singular values of

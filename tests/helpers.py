@@ -21,28 +21,27 @@ from tanmor import (
     IllConditionedLyapunov,
     InterpData,
     ReductionTrace,
-    SplitMix64,
     StateSpace,
     StrategyKind,
     TanmorError,
     TraceRow,
-    append_point,
     controllability_gramian,
     error_norm,
     eval_tf,
-    extend_point,
     freq_sweep,
     is_strictly_stable,
-    psd_factor,
-    realize_r,
+    series_sub,
+)
+from tanmor.gramians import psd_factor
+from tanmor.interpolation import append_point, extend_point, realize_r, truncated_point
+from tanmor.selection import (
+    SplitMix64,
     refine,
     select_discrete,
     select_max_error,
     select_random,
-    series_sub,
-    solve_weights,
-    truncated_point,
 )
+from tanmor.weights import solve_weights
 
 # ---------------------------------------------------------------------------
 # system builders

@@ -15,7 +15,6 @@ from tanmor import (
     ReducerConfig,
     SelectionStrategy,
     StateSpace,
-    append_point,
     balanced_truncation,
     controllability_gramian,
     error_norm,
@@ -26,11 +25,11 @@ from tanmor import (
     realize_h,
     reduce,
     series_sub,
-    solve_weights,
-    truncated_point,
 )
 from tanmor.cli import run_cli
+from tanmor.interpolation import append_point, truncated_point
 from tanmor.modelio import save_model
+from tanmor.weights import solve_weights
 
 from benchmarks import flex_structure_model
 from helpers import h2_sq_quadrature, modal_stable, random_stable

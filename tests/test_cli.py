@@ -10,6 +10,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tanmor.cli
 import tanmor.gramians
@@ -374,3 +375,39 @@ class TestFailureExits:
         err = capsys.readouterr().err
         assert err.startswith("error[IllConditionedLyapunov]: Sylvester residual ")
         assert not list(tmp_path.glob("x.*"))
+
+    def test_negative_order_exits_2_before_the_run(
+        self, plant, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("reduce ran on a sweep request it refuses")
+
+        monkeypatch.setattr(tanmor.cli, "reduce", no_run)
+        path, _ = plant
+        rc = run_cli(reduce_args(path, tmp_path / "x", "--orders", "8,-1"))
+        assert rc == 2
+        assert capsys.readouterr().err == "error: orders must be nonnegative\n"
+        assert not list(tmp_path.glob("x.*"))
+
+    def test_unstable_parent_with_balanced_baseline_exits_1_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The stability verdict reads the Schur form load_model kept for its
+        # pole check, so the whole command runs one Schur decomposition.
+        path = tmp_path / "unstable.txt"
+        parent = StateSpace(np.diag([1.0, -2.0, -3.0]), np.ones((3, 1)), np.ones((1, 3)))
+        save_model(parent, path)
+        schur, shapes = scipy.linalg.schur, []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting)
+        rc = run_cli(reduce_args(path, tmp_path / "x", "--orders", "2"))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error[UnstableSystem]: balanced truncation requires a strictly stable system\n"
+        )
+        assert not list(tmp_path.glob("x.*"))
+        assert shapes == [(3, 3)]

@@ -23,10 +23,10 @@ from tanmor import (
     error_norm,
     h2_norm_sq,
     peak_gain,
-    psd_factor,
     reduce,
     series_sub,
 )
+from tanmor.gramians import psd_factor
 from tanmor.lti import IMAG_AXIS_RTOL
 
 from benchmarks import convection_diffusion, flex_structure_model

@@ -10,14 +10,16 @@ from tanmor import (
     FreqResponse,
     IndexOutOfRange,
     InterpData,
-    InterpPoint,
     RankDeficient,
     StateSpace,
-    append_point,
     eval_tf,
-    extend_point,
     freq_sweep,
     realize_h,
+)
+from tanmor.interpolation import (
+    InterpPoint,
+    append_point,
+    extend_point,
     realize_r,
     truncated_point,
 )

@@ -23,9 +23,9 @@ from tanmor import (
     is_strictly_stable,
     peak_gain,
     reduce,
-    resolvent_rows,
     series_sub,
 )
+from tanmor.lti import resolvent_rows
 
 from benchmarks import flex_structure_model
 from helpers import naive_tf, random_mixed, random_stable
@@ -92,6 +92,18 @@ class TestConstruction:
     def test_complex_data_under_real_field_rejected(self):
         with pytest.raises(InvariantViolation, match="imaginary"):
             StateSpace([[-1 + 1j]], [[1]], [[1]], scalar_field="real")
+
+    def test_complex_dtype_with_zero_imaginary_parts_stores_real(self):
+        # The suite turns NumPy's ComplexWarning (a RuntimeWarning) into an
+        # error, so a complex-to-float cast that drops the zero imaginary
+        # parts with that warning fails here.
+        A = np.array([[-1.0 + 0j, 0.5], [0.0, -2.0]])
+        sys = StateSpace(A, np.ones((2, 1)), [[1.0, 0.0]], [[0j]], scalar_field="real")
+        npt.assert_array_equal(sys.A, A.real)
+        for mat in (sys.A, sys.B, sys.C, sys.D):
+            assert mat.dtype == np.float64
+        const = StateSpace.constant(np.array([[1 + 0j]]), scalar_field="real")
+        assert const.D.dtype == np.float64 and const.D[0, 0] == 1.0
 
     def test_default_feedthrough_is_zero(self):
         sys = StateSpace([[-1.0]], [[1.0, 2.0]], [[1.0], [3.0]])

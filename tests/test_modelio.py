@@ -19,12 +19,12 @@ from tanmor import (
     ParseError,
     StateSpace,
     UnsupportedFormat,
-    detect_format,
     freq_sweep,
     load_model,
     save_model,
 )
 from tanmor.lti import IMAG_AXIS_RTOL
+from tanmor.modelio import detect_format
 
 from helpers import random_stable
 

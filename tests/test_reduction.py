@@ -34,11 +34,11 @@ from tanmor import (
     h2_norm_sq,
     hankel_values,
     reduce,
-    refine,
     series_sub,
-    solve_weights,
     sweep_orders,
 )
+from tanmor.selection import refine
+from tanmor.weights import solve_weights
 
 from benchmarks import flex_structure_model
 from helpers import (

@@ -21,20 +21,20 @@ from tanmor import (
     PeakSearchNotConverged,
     RankExhausted,
     SelectionStrategy,
-    SplitMix64,
     StateSpace,
     StrategyKind,
-    append_point,
     eval_tf,
-    extend_point,
     freq_sweep,
     peak_gain,
+    series_sub,
+)
+from tanmor.interpolation import append_point, extend_point, truncated_point
+from tanmor.selection import (
+    SplitMix64,
     refine,
     select_discrete,
     select_max_error,
     select_random,
-    series_sub,
-    truncated_point,
 )
 
 from helpers import (

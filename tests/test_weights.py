@@ -8,18 +8,15 @@ from tanmor import (
     DimensionMismatch,
     GramianRankCollapse,
     InterpData,
-    InterpPoint,
     StateSpace,
-    append_point,
     controllability_gramian,
     freq_sweep,
     h2_norm_sq,
     realize_h,
-    realize_r,
     series_sub,
-    solve_weights,
-    truncated_point,
 )
+from tanmor.interpolation import InterpPoint, append_point, realize_r, truncated_point
+from tanmor.weights import solve_weights
 
 from helpers import build_x, gamma_of, h2_sq_quadrature, random_stable
 
